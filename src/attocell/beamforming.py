@@ -5,11 +5,15 @@ sum_j' tr(W_j' G_j) >= theta_j and W_j PSD.  Objective and constraints
 only see the sum W = sum_j W_j, so a single aggregate PSD variable is
 optimized and beams are read off its eigendecomposition afterwards.
 
-The solver is a primal log-det barrier method.  Newton steps are taken
-in the Cholesky-congruent coordinates Delta = L Delta' L^H, where the
-log-det Hessian becomes the identity and the constraint terms add a
-rank-J correction handled by a small Woodbury solve; conditioning then
-does not degrade as the barrier parameter grows.
+Every channel is rank one, G_j = h_j h_j^H, so the dual has one scalar
+per device: maximize b.gamma subject to Z = I - sum gamma_j G_j PSD and
+gamma >= 0.  A log barrier on that dual takes J x J Newton steps over the
+devices with positive targets.  Each barrier round reads the primal
+W = Z^-1 / t off the center, scales it up until every target is met, and
+certifies it with gamma rescaled onto lambda_max(sum gamma G) = 1, which
+lower-bounds tr(W).  Within 1e-4 of the optimum, a Newton solve of the KKT
+system on a guessed active set and rank (the polish) reaches machine
+precision, which the barrier's Z^-1 loses to cancellation.
 """
 
 from dataclasses import dataclass, field
@@ -68,8 +72,7 @@ class PsdMatrix:
     objective: float
     duals: np.ndarray
     gap: float  # certified primal-dual gap, absolute
-    iterations: int
-    converged: bool = True
+    iterations: int  # dual Newton steps
 
     def __post_init__(self):
         w = np.asarray(self.entries, dtype=complex)
@@ -89,35 +92,6 @@ class PsdMatrix:
     @property
     def gap_relative(self):
         return self.gap / max(abs(self.objective), 1e-300)
-
-
-def _vech(h):
-    """Isometric real coordinates of a Hermitian matrix."""
-    n = h.shape[0]
-    iu = np.triu_indices(n, 1)
-    return np.concatenate([
-        np.real(np.diagonal(h)),
-        np.sqrt(2.0) * np.real(h[iu]),
-        np.sqrt(2.0) * np.imag(h[iu]),
-    ])
-
-
-def _unvech(v, n):
-    iu = np.triu_indices(n, 1)
-    k = len(iu[0])
-    out = np.zeros((n, n), dtype=complex)
-    out[np.diag_indices(n)] = v[:n]
-    upper = (v[n:n + k] + 1j * v[n + k:]) / np.sqrt(2.0)
-    out[iu] = upper
-    out[(iu[1], iu[0])] = upper.conj()
-    return out
-
-
-def _chol(w):
-    try:
-        return np.linalg.cholesky(w)
-    except np.linalg.LinAlgError:
-        return None
 
 
 def _kkt_newton(g_act, b_act, y0, gamma0, max_iter=40):
@@ -279,15 +253,52 @@ def solve_aggregate_sdp(channels, targets, tol=1e-8):
     scale = float(np.max(b_raw[active]))
     b = np.array([b_raw[j] / scale for j in active])
     g_act = [gs[j] for j in active]
-    tr_g = np.array([float(np.trace(g).real) for g in g_act])
+    try:
+        h = np.stack([_rank_one_factor(g) for g in g_act], axis=1)
+        w, gamma, obj, gap, newton_steps = _dual_barrier(g_act, h, b, tol)
+    except np.linalg.LinAlgError as exc:
+        raise SolverStallError(f"numerical breakdown: {exc}") from exc
+    for idx, j in enumerate(active):
+        duals[j] = gamma[idx]  # per unit of normalized target; scale-free
+    return PsdMatrix(entries=scale * w, objective=scale * obj, duals=duals,
+                     gap=scale * gap, iterations=newton_steps)
 
-    # strictly feasible start: W0 = c I with margin on every constraint
-    c0 = 2.0 * float(np.max(b / tr_g))
-    w = c0 * np.eye(m, dtype=complex)
-    # slacks are tracked incrementally: recomputing tr(WG)-b cancels
-    # catastrophically once the slacks shrink below sqrt(eps)
-    s = c0 * tr_g - b
-    t = 1.0
+
+def _rank_one_factor(g):
+    """The vector h with g = h h^H; rejects g unless rank one to rounding."""
+    vals, vecs = np.linalg.eigh(g)
+    if np.any(np.abs(vals[:-1]) > 1e-9 * vals[-1]):
+        raise ValueError("channel matrix is not rank one")
+    return np.sqrt(vals[-1]) * vecs[:, -1]
+
+
+def _z_factor(h, gamma):
+    """Cholesky factor of Z = I - sum gamma_j h_j h_j^H, None unless Z > 0."""
+    z = np.eye(h.shape[0]) - (h * gamma) @ h.conj().T
+    try:
+        return np.linalg.cholesky(z)
+    except np.linalg.LinAlgError:
+        return None
+
+
+def _dual_barrier(g_act, h, b, tol):
+    """Barrier rounds on the dual, returning the best certified round.
+
+    Each round centers phi(gamma) = -t b.gamma - log det Z - sum log gamma
+    by Newton steps on the J duals, reads the primal W = Z^-1 / t off the
+    center, and certifies it with gamma rescaled onto the cone boundary.
+    """
+    m, n_act = h.shape
+    power = np.sum(np.abs(h) ** 2, axis=0)
+    # strictly feasible start: lambda_max(sum gamma G) <= sum gamma |h|^2 = 1/2
+    gamma = 0.5 / (n_act * power)
+    l = _z_factor(h, gamma)
+    if l is None:
+        raise SolverStallError("dual start outside the cone")
+    # the first center's gap (m + J) / t matches tr(c I), c = max b/|h|^2,
+    # a feasible primal; a much smaller gap puts that center against the
+    # cone boundary, hundreds of damped Newton steps away from the start
+    t = (m + n_act) / (m * float(np.max(b / power)))
     mu = 10.0
     newton_steps = 0
     best = None  # (w, gamma, obj, gap) with the smallest certified gap
@@ -296,83 +307,54 @@ def solve_aggregate_sdp(channels, targets, tol=1e-8):
     for _ in range(_MAX_OUTER):
         # center at the current t
         for _ in range(_MAX_NEWTON):
-            l = _chol(w)
-            if l is None:
-                raise SolverStallError("iterate lost positive definiteness")
-            lh = l.conj().T
-            # gradient in the L-congruent coordinates: L^H (tI - W^-1 - sum G/s) L
-            ghat = t * (lh @ l) - np.eye(m, dtype=complex)
-            qh = np.empty((len(g_act), m * m))
-            for j, g in enumerate(g_act):
-                gh = lh @ g @ l
-                qh[j] = _vech(gh)
-                ghat -= gh / s[j]
-            vg = _vech(ghat)
-            # (I + sum q q^T / s^2) x = -vg  via Woodbury on the J x J system
-            core = np.diag(s**2) + qh @ qh.T
-            rhs = qh @ vg
-            try:
-                y = np.linalg.solve(core, rhs)
-            except np.linalg.LinAlgError:
-                y = np.linalg.lstsq(core, rhs, rcond=None)[0]
-            x = -(vg - qh.T @ y)
-            ds = qh @ x  # per-constraint slack change at unit step
-            # decrement as the Hessian quadratic form at x: positive terms
-            # only, immune to the cancellation -vg.x suffers after t bumps
-            decrement_sq = float(x @ x) + float(np.sum((ds / s) ** 2))
-            if 0.5 * decrement_sq <= _CENTER_TOL:
+            linv = np.linalg.inv(l)
+            hz = linv @ h  # h_i^H Z^-1 h_j = (hz^H hz)_ij
+            gram = hz.conj().T @ hz
+            grad = -t * b + gram.diagonal().real - 1.0 / gamma
+            hess = np.abs(gram) ** 2 + np.diag(1.0 / gamma**2)
+            step = np.linalg.solve(hess, -grad)
+            slope = float(grad @ step)
+            if -0.5 * slope <= _CENTER_TOL:
                 break
-
-            def try_direction(xd, dsd):
-                # sufficient decrease against the computed slope, which an
-                # ill-conditioned core solve can leave far from -decrement^2
-                slope = float(vg @ xd)
-                if slope >= 0.0:
-                    return None
-                stepd = _unvech(xd, m)
-                eig_stepd = np.linalg.eigvalsh(stepd)
-                tr_deltad = float(xd @ _vech(lh @ l))
-                alpha = 1.0
-                while alpha > 1e-14:
-                    if np.all(1.0 + alpha * eig_stepd > 0) and np.all(s + alpha * dsd > 0):
-                        # barrier change evaluated as a difference: raw values
-                        # are O(t.tr W) and would swamp the decrease in noise
-                        dphi = (t * alpha * tr_deltad
-                                - float(np.sum(np.log1p(alpha * eig_stepd)))
-                                - float(np.sum(np.log1p(alpha * dsd / s))))
-                        if dphi <= 0.25 * alpha * slope:
-                            return alpha, stepd, dsd
-                    alpha *= 0.5
-                return None
-
-            move = try_direction(x, ds)
-            if move is None and float(vg @ x) >= 0.0:
-                xg = -vg
-                move = try_direction(xg, qh @ xg)
-            if move is None:
-                # no decrease in any direction the noisy gradient offers: the
-                # iterate is as centered as float64 allows at this t; let the
-                # certified gap decide whether that is good enough
+            logdet = 2.0 * float(np.sum(np.log(l.diagonal().real)))
+            alpha = 1.0
+            while alpha > 1e-14:
+                trial = gamma + alpha * step
+                l_new = _z_factor(h, trial) if np.all(trial > 0) else None
+                if l_new is not None:
+                    # barrier change evaluated as a difference: raw values
+                    # are O(t b.gamma) and would swamp the decrease in noise
+                    dphi = (-t * alpha * float(b @ step)
+                            - (2.0 * float(np.sum(np.log(l_new.diagonal().real))) - logdet)
+                            - float(np.sum(np.log1p(alpha * step / gamma))))
+                    if dphi <= 0.25 * alpha * slope:
+                        break
+                alpha *= 0.5
+            else:
+                # no decrease along the noisy Newton direction: the iterate is
+                # as centered as float64 allows at this t; let the certified
+                # gap decide whether that is good enough
                 break
-            alpha, step, ds = move
-            delta = l @ step @ lh
-            w = w + alpha * (0.5 * (delta + delta.conj().T))
-            s = s + alpha * ds
+            gamma, l = trial, l_new
             newton_steps += 1
         else:
             raise SolverStallError("centering did not converge")
 
-        # dual certificate: gamma = 1/(t s) rescaled exactly onto the
-        # boundary of {sum gamma G <= I}; any such gamma lower-bounds tr(W)
-        gamma = 1.0 / (t * s)
-        z_load = sum(g * gj for g, gj in zip(gamma, g_act))
-        lam_max = float(np.linalg.eigvalsh(z_load)[-1])
-        gamma = gamma * ((1.0 - 1e-12) / lam_max)
+        # primal W = Z^-1 / t, scaled up until every target is met; linv
+        # and gram still belong to the final gamma
+        w = linv.conj().T @ linv / t
+        w = 0.5 * (w + w.conj().T)
+        delivered = gram.diagonal().real / t
+        w = w / min(1.0, float(np.min(delivered / b)))
+        # dual certificate: gamma rescaled exactly onto the boundary of
+        # {sum gamma G <= I}; any such gamma lower-bounds tr(W)
+        lam_max = float(np.linalg.eigvalsh((h * gamma) @ h.conj().T)[-1])
+        cert = gamma * ((1.0 - 1e-12) / lam_max)
         obj = float(np.trace(w).real)
-        gap = obj - float(gamma @ b)
+        gap = obj - float(cert @ b)
         prior_gap = best[3] if best is not None else np.inf
         if best is None or gap < best[3]:
-            best = (w.copy(), gamma.copy(), obj, gap)
+            best = (w, cert, obj, gap)
         if best[3] <= tol * (1.0 + abs(best[2])):
             break
         # near the optimum, a KKT refinement reaches machine precision
@@ -395,12 +377,7 @@ def solve_aggregate_sdp(channels, targets, tol=1e-8):
         t *= mu
     else:
         raise SolverStallError("barrier rounds exhausted without closing the gap")
-
-    w, gamma, obj, gap = best
-    for idx, j in enumerate(active):
-        duals[j] = gamma[idx]  # per unit of normalized target; scale-free
-    return PsdMatrix(entries=scale * w, objective=scale * obj, duals=duals,
-                     gap=scale * gap, iterations=newton_steps)
+    return (*best, newton_steps)
 
 
 @dataclass(frozen=True)
@@ -413,7 +390,6 @@ class BeamformingSolution:
     rank_one_ratio: float
     aggregate: PsdMatrix
     iterations: int = 0
-    converged: bool = True
 
 
 def extract_beams(aggregate, channels, rank_tol=1e-9):
@@ -439,7 +415,7 @@ def extract_beams(aggregate, channels, rank_tol=1e-9):
     return BeamformingSolution(
         beams=beams, total_power=total, delivered=delivered,
         rank_one_ratio=ratio, aggregate=aggregate,
-        iterations=aggregate.iterations, converged=aggregate.converged)
+        iterations=aggregate.iterations)
 
 
 @dataclass(frozen=True)

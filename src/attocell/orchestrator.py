@@ -118,7 +118,7 @@ class TraceLog:
         return trace
 
 
-def _ap_solve(scenario, harvest_targets, theta, sdp_tol=1e-8):
+def _ap_solve(scenario, harvest_targets, sdp_tol=1e-8):
     """The access point's side: invert the rectifier, run the power SDP."""
     rf = sample_rf_channel(scenario.rf_ap, scenario.devices,
                            scenario.rician_factor_db,
@@ -172,7 +172,7 @@ def run_centralized(scenario, theta, rf_cap=None, method="bisection",
                {"harvest_targets": [float(v) for v in solution.rf_targets],
                 "theta": float(theta), "rf_cap": float(rf_cap),
                 "method": method})
-    beams = _ap_solve(scenario, solution.rf_targets, theta, sdp_tol=sdp_tol)
+    beams = _ap_solve(scenario, solution.rf_targets, sdp_tol=sdp_tol)
     return solution, beams, trace
 
 
@@ -237,7 +237,7 @@ def run_semi_decentralized(scenario, theta, rf_cap=None, tol=1e-7, sdp_tol=1e-8)
                {"harvest_targets": [float(v) for v in solution.rf_targets],
                 "theta": float(theta), "rf_cap": float(rf_cap),
                 "method": "closed_form"})
-    beams = _ap_solve(scenario, solution.rf_targets, theta, sdp_tol=sdp_tol)
+    beams = _ap_solve(scenario, solution.rf_targets, sdp_tol=sdp_tol)
     return solution, beams, trace
 
 
@@ -338,5 +338,5 @@ def replay(trace, scenario):
     solution = solve_op1_from_gains(
         serving, sums, scenario.drive, scenario.vlc_eh, scenario.bias,
         scenario.noise_power, theta, rf_cap, method=method)
-    beams = _ap_solve(scenario, meta["harvest_targets"], theta)
+    beams = _ap_solve(scenario, meta["harvest_targets"])
     return solution, beams

@@ -1,8 +1,12 @@
 import json
 
+import numpy as np
 import pytest
 
-from attocell.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, main)
+from attocell.beamforming import solve_aggregate_sdp
+from attocell.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_SOLVER,
+                          main)
+from attocell.errors import SolverStallError
 
 FROZEN_HASH = "6ec16058f814e4a2"
 
@@ -52,6 +56,18 @@ def test_solve_unit_suffixes(tmp_path):
 def test_solve_infeasible_exit_code(tmp_path):
     code = main(["solve", "--theta", "50mW", "--out-dir", str(tmp_path)])
     assert code == EXIT_INFEASIBLE
+
+
+@pytest.mark.parametrize("routine", ["cholesky", "solve"])
+def test_numerical_breakdown_is_solver_failure(tmp_path, monkeypatch, routine):
+    def breakdown(*args, **kwargs):
+        raise np.linalg.LinAlgError("injected breakdown")
+    monkeypatch.setattr(np.linalg, routine, breakdown)
+    g = np.outer([1.0, 1j], [1.0, -1j])
+    with pytest.raises(SolverStallError):
+        solve_aggregate_sdp([g], np.array([1e-3]))
+    code = main(["solve", "--theta", "4mW", "--out-dir", str(tmp_path)])
+    assert code == EXIT_SOLVER
 
 
 def test_solve_bad_theta_string(tmp_path):

@@ -8,6 +8,7 @@ from attocell.experiments import (ExperimentResult, exp_eh_allocation,
                                   exp_feasibility_vs_theta, exp_illuminance,
                                   exp_rf_power, exp_snr_eh_region,
                                   exp_subopt_gap)
+from attocell.scenario import default_scenario
 
 PROVENANCE = ("scenario_hash", "seed", "solver")
 
@@ -117,6 +118,13 @@ def test_rf_power_experiment(scenario):
             p_uni = mean[sel & (alloc == "uniform")][0]
             p_opt = mean[sel & (alloc == "optimal")][0]
             assert p_opt <= p_uni * (1 + 1e-9)
+
+
+def test_rf_power_fading_draw_that_stalled():
+    # this draw's 2 mW nonlinear optimal row once stalled at a 9.0e-6 gap
+    res = exp_rf_power(default_scenario(seed=2135483340), rf_levels=[2e-3],
+                       trials=1)
+    assert res.columns["solver_failures"] == [0, 0, 0, 0]
 
 
 def test_rf_power_zero_level(scenario):
