@@ -7,13 +7,15 @@ optimized and beams are read off its eigendecomposition afterwards.
 
 Every channel is rank one, G_j = h_j h_j^H, so the dual has one scalar
 per device: maximize b.gamma subject to Z = I - sum gamma_j G_j PSD and
-gamma >= 0.  A log barrier on that dual takes J x J Newton steps over the
-devices with positive targets.  Each barrier round reads the primal
-W = Z^-1 / t off the center, scales it up until every target is met, and
-certifies it with gamma rescaled onto lambda_max(sum gamma G) = 1, which
-lower-bounds tr(W).  Within 1e-4 of the optimum, a Newton solve of the KKT
-system on a guessed active set and rank (the polish) reaches machine
-precision, which the barrier's Z^-1 loses to cancellation.
+gamma >= 0.  A feasible primal-dual interior-point method carries W, the
+primal slacks s_j = h_j^H W h_j - b_j and gamma together.  Each step
+linearizes W Z = mu I (the HKM direction; Helmberg, Rendl, Vanderbei and
+Wolkowicz, SIAM J. Optim. 1996) and s_j gamma_j = mu, which leaves a
+J x J Schur system over the devices with positive targets, and picks mu
+by Mehrotra's predictor rule (SIAM J. Optim. 1992).  Every iterate is
+certified on its optimal face: the eigen-directions of W that outweigh Z,
+scaled until the tightest target is met, against gamma rescaled onto
+lambda_max(sum gamma G) = 1, which lower-bounds tr(W).
 """
 
 from dataclasses import dataclass, field
@@ -34,10 +36,6 @@ __all__ = [
     "verify_beamforming",
     "required_power_linear",
 ]
-
-_MAX_NEWTON = 400
-_CENTER_TOL = 1e-9  # half squared Newton decrement; affine-invariant
-_MAX_OUTER = 40
 
 
 @dataclass(frozen=True)
@@ -72,7 +70,7 @@ class PsdMatrix:
     objective: float
     duals: np.ndarray
     gap: float  # certified primal-dual gap, absolute
-    iterations: int  # dual Newton steps
+    iterations: int  # interior-point steps
 
     def __post_init__(self):
         w = np.asarray(self.entries, dtype=complex)
@@ -94,141 +92,16 @@ class PsdMatrix:
         return self.gap / max(abs(self.objective), 1e-300)
 
 
-def _kkt_newton(g_act, b_act, y0, gamma0, max_iter=40):
-    """Newton on the first-order system of the reduced problem.
-
-    Unknowns are a rank factor Y (W = Y Y^H) and the active duals.
-    Residuals: (I - sum gamma_k G_k) Y = 0 and tr(Y Y^H G_k) = b_k.
-    The system has no barrier slacks, so its conditioning does not
-    degrade with solution accuracy; the gauge freedom Y -> Y U is
-    handled by the least-squares step.
-    """
-    m, r = y0.shape
-    na = len(g_act)
-    y = y0.copy()
-    gam = np.asarray(gamma0, dtype=float).copy()
-    scale = max(1.0, float(np.sqrt(np.sum(np.abs(y) ** 2))))
-    eye_r = np.eye(r)
-
-    def residual(yv, gv):
-        z = np.eye(m, dtype=complex) - sum(g * gk for g, gk in zip(gv, g_act))
-        f1 = z @ yv
-        gy = [g @ yv for g in g_act]
-        f2 = np.array([float(np.sum((yv.conj() * gy[k]).real)) for k in range(na)]) - b_act
-        return z, f1, gy, f2
-
-    res_accept = 1e-11 * scale  # downstream certificate is the real gate
-    for _ in range(max_iter):
-        z, f1, gy, f2 = residual(y, gam)
-        res = max(float(np.max(np.abs(f1))), float(np.max(np.abs(f2))) if na else 0.0)
-        if res <= res_accept:
-            break
-        f = np.concatenate([np.real(f1).ravel("F"), np.imag(f1).ravel("F"), f2])
-        n_y = m * r
-        jac = np.zeros((2 * n_y + na, 2 * n_y + na))
-        zr, zi = np.real(z), np.imag(z)
-        jac[:n_y, :n_y] = np.kron(eye_r, zr)
-        jac[:n_y, n_y:2 * n_y] = -np.kron(eye_r, zi)
-        jac[n_y:2 * n_y, :n_y] = np.kron(eye_r, zi)
-        jac[n_y:2 * n_y, n_y:2 * n_y] = np.kron(eye_r, zr)
-        for k in range(na):
-            col = gy[k]
-            jac[:n_y, 2 * n_y + k] = -np.real(col).ravel("F")
-            jac[n_y:2 * n_y, 2 * n_y + k] = -np.imag(col).ravel("F")
-            jac[2 * n_y + k, :n_y] = 2.0 * np.real(col).ravel("F")
-            jac[2 * n_y + k, n_y:2 * n_y] = 2.0 * np.imag(col).ravel("F")
-        # rcond truncates the gauge directions Y -> Y U, whose singular
-        # values sit at O(residual); inverting them turns a 1e-6 residual
-        # into an O(1) step and the line search cannot recover
-        dv = np.linalg.lstsq(jac, -f, rcond=1e-6)[0]
-        norm0 = float(np.linalg.norm(f))
-        alpha = 1.0
-        for _ in range(12):
-            y_new = y + alpha * (dv[:n_y] + 1j * dv[n_y:2 * n_y]).reshape((m, r), order="F")
-            gam_new = gam + alpha * dv[2 * n_y:]
-            _, f1n, _, f2n = residual(y_new, gam_new)
-            if np.linalg.norm(np.concatenate(
-                    [np.real(f1n).ravel(), np.imag(f1n).ravel(), f2n])) <= (1 - 0.25 * alpha) * norm0:
-                break
-            alpha *= 0.5
-        else:
-            # rounding floor of the gauge-degenerate Jacobian; the iterate is
-            # still usable if its residual is small, and verification decides
-            return (y, gam) if res <= 1e4 * res_accept else None
-        y, gam = y_new, gam_new
-    else:
-        return None
-    return y, gam
-
-
-def _kkt_polish(g_all, b, w, gamma):
-    """Refine a near-optimal barrier iterate to machine precision.
-
-    Guesses the active set from the barrier duals and the solution rank
-    from the eigenvalues of W, solves the optimality system by Newton,
-    then verifies primal and dual feasibility from scratch.  Returns
-    (W, duals, objective, certified gap) or None if no guess verifies.
-    """
-    evals, evecs = np.linalg.eigh(w)
-    lmax = float(evals[-1])
-    gmax = float(np.max(gamma)) if len(gamma) else 0.0
-    if lmax <= 0.0 or gmax <= 0.0:
-        return None
-    n_dev = len(g_all)
-    guesses = []
-    for a_th in (1e-3, 1e-6):
-        act = tuple(j for j in range(n_dev) if gamma[j] > a_th * gmax)
-        for r_th in (1e-2, 1e-4):
-            r = int(np.sum(evals > r_th * lmax))
-            if act and 1 <= r and (act, r) not in guesses:
-                guesses.append((act, r))
-    best = None
-    for act, r in guesses:
-        g_act = [g_all[j] for j in act]
-        b_act = b[list(act)]
-        y0 = evecs[:, -r:] * np.sqrt(np.maximum(evals[-r:], 0.0))
-        out = _kkt_newton(g_act, b_act, y0, gamma[list(act)])
-        if out is None:
-            continue
-        y, gam = out
-        if np.any(gam < -1e-9 * max(float(np.max(gam)), 1e-30)):
-            continue
-        gam = np.maximum(gam, 0.0)
-        w_new = y @ y.conj().T
-        w_new = 0.5 * (w_new + w_new.conj().T)
-        delivered = np.array([float(np.trace(w_new @ g).real) for g in g_all])
-        # restore primal feasibility exactly by a tiny uniform upscale
-        need = b > 0
-        if np.any(need):
-            floor = np.min(delivered[need] / b[need])
-            if floor <= 0.0:
-                continue
-            if floor < 1.0:
-                w_new = w_new / floor
-        obj = float(np.trace(w_new).real)
-        duals = np.zeros(n_dev)
-        duals[list(act)] = gam
-        z_load = sum(d * g for d, g in zip(duals, g_all))
-        lam = float(np.linalg.eigvalsh(z_load)[-1])
-        if lam <= 0.0:
-            continue
-        duals = duals * ((1.0 - 1e-12) / lam)
-        gap = obj - float(duals @ b)
-        if gap < 0:
-            continue
-        if best is None or gap < best[3]:
-            best = (w_new, duals, obj, gap)
-    return best
-
-
 def solve_aggregate_sdp(channels, targets, tol=1e-8):
     """Minimize tr(W) over PSD W with tr(W G_j) >= target_j.
 
     ``channels`` are the rank-one matrices g_j g_j^H.  Targets are
     normalized by their maximum before solving (the problem is exactly
     positively homogeneous) and the result scaled back, so scaled
-    instances produce bitwise-scaled optima.  Terminates when the
-    certified duality gap drops below tol * (1 + |objective|).
+    instances produce bitwise-scaled optima.  Channels are normalized by
+    their largest power the same way.  Terminates when the certified
+    duality gap of the normalized problem drops below
+    tol * (1 + |objective|).
     """
     b_raw = targets.input_targets if isinstance(targets, EhTargets) else np.asarray(targets, dtype=float)
     gs = [np.asarray(g, dtype=complex) for g in channels]
@@ -255,13 +128,15 @@ def solve_aggregate_sdp(channels, targets, tol=1e-8):
     g_act = [gs[j] for j in active]
     try:
         h = np.stack([_rank_one_factor(g) for g in g_act], axis=1)
-        w, gamma, obj, gap, newton_steps = _dual_barrier(g_act, h, b, tol)
+        # channels normalized like the targets, so the stop rule is scale-free
+        h_scale = float(np.max(np.sum(np.abs(h) ** 2, axis=0)))
+        w, gamma, obj, gap, steps = _primal_dual(h / np.sqrt(h_scale), b, tol)
     except np.linalg.LinAlgError as exc:
         raise SolverStallError(f"numerical breakdown: {exc}") from exc
     for idx, j in enumerate(active):
-        duals[j] = gamma[idx]  # per unit of normalized target; scale-free
-    return PsdMatrix(entries=scale * w, objective=scale * obj, duals=duals,
-                     gap=scale * gap, iterations=newton_steps)
+        duals[j] = gamma[idx] / h_scale  # free of the target scale
+    return PsdMatrix(entries=scale * (w / h_scale), objective=scale * (obj / h_scale),
+                     duals=duals, gap=scale * (gap / h_scale), iterations=steps)
 
 
 def _rank_one_factor(g):
@@ -272,112 +147,109 @@ def _rank_one_factor(g):
     return np.sqrt(vals[-1]) * vecs[:, -1]
 
 
-def _z_factor(h, gamma):
-    """Cholesky factor of Z = I - sum gamma_j h_j h_j^H, None unless Z > 0."""
-    z = np.eye(h.shape[0]) - (h * gamma) @ h.conj().T
-    try:
-        return np.linalg.cholesky(z)
-    except np.linalg.LinAlgError:
-        return None
+def _max_step(li, d):
+    """Largest alpha with L L^H + alpha d PSD, given the inverse li of L."""
+    lam = float(np.linalg.eigvalsh(li @ d @ li.conj().T)[0])
+    return -1.0 / lam if lam < 0.0 else np.inf
 
 
-def _dual_barrier(g_act, h, b, tol):
-    """Barrier rounds on the dual, returning the best certified round.
+def _ratio_step(x, dx):
+    """Largest alpha with x + alpha dx >= 0, for x > 0."""
+    neg = dx < 0.0
+    return float(np.min(-x[neg] / dx[neg])) if np.any(neg) else np.inf
 
-    Each round centers phi(gamma) = -t b.gamma - log det Z - sum log gamma
-    by Newton steps on the J duals, reads the primal W = Z^-1 / t off the
-    center, and certifies it with gamma rescaled onto the cone boundary.
+
+def _certify(h, b, w, z, gamma):
+    """(W, duals, objective, gap) for the optimal face of an iterate.
+
+    The face keeps the eigen-directions u of W with lambda(W) > u^H Z u,
+    which strict complementarity separates at the optimum.  It is scaled
+    until the tightest target is met exactly, and gamma is rescaled onto
+    lambda_max(sum gamma G) = 1, where it lower-bounds tr(W).
     """
-    m, n_act = h.shape
+    evals, evecs = np.linalg.eigh(w)
+    zq = np.sum(evecs.conj() * (z @ evecs), axis=0).real
+    keep = evals > zq
+    u = evecs[:, keep] * np.sqrt(evals[keep])
+    floor = float(np.min(np.sum(np.abs(u.conj().T @ h) ** 2, axis=0) / b))
+    if floor <= 0.0:
+        return None
+    w_face = u @ u.conj().T / floor
+    w_face = 0.5 * (w_face + w_face.conj().T)
+    lam_max = float(np.linalg.eigvalsh((h * gamma) @ h.conj().T)[-1])
+    cert = gamma * ((1.0 - 1e-12) / lam_max)
+    obj = float(np.trace(w_face).real)
+    return w_face, cert, obj, obj - float(cert @ b)
+
+
+def _primal_dual(h, b, tol):
+    """Feasible primal-dual interior-point steps over (W, s, gamma).
+
+    Returns the best certificate (W, duals, objective, gap) and the step
+    count.  s_j = h_j^H W h_j - b_j is the primal slack, and
+    tr(W Z) + s.gamma is the duality gap of the iterate.
+    """
+    m, n = h.shape
+    eye = np.eye(m)
     power = np.sum(np.abs(h) ** 2, axis=0)
-    # strictly feasible start: lambda_max(sum gamma G) <= sum gamma |h|^2 = 1/2
-    gamma = 0.5 / (n_act * power)
-    l = _z_factor(h, gamma)
-    if l is None:
-        raise SolverStallError("dual start outside the cone")
-    # the first center's gap (m + J) / t matches tr(c I), c = max b/|h|^2,
-    # a feasible primal; a much smaller gap puts that center against the
-    # cone boundary, hundreds of damped Newton steps away from the start
-    t = (m + n_act) / (m * float(np.max(b / power)))
-    mu = 10.0
-    newton_steps = 0
-    best = None  # (w, gamma, obj, gap) with the smallest certified gap
-    stale_rounds = 0
-
-    for _ in range(_MAX_OUTER):
-        # center at the current t
-        for _ in range(_MAX_NEWTON):
-            linv = np.linalg.inv(l)
-            hz = linv @ h  # h_i^H Z^-1 h_j = (hz^H hz)_ij
-            gram = hz.conj().T @ hz
-            grad = -t * b + gram.diagonal().real - 1.0 / gamma
-            hess = np.abs(gram) ** 2 + np.diag(1.0 / gamma**2)
-            step = np.linalg.solve(hess, -grad)
-            slope = float(grad @ step)
-            if -0.5 * slope <= _CENTER_TOL:
-                break
-            logdet = 2.0 * float(np.sum(np.log(l.diagonal().real)))
-            alpha = 1.0
-            while alpha > 1e-14:
-                trial = gamma + alpha * step
-                l_new = _z_factor(h, trial) if np.all(trial > 0) else None
-                if l_new is not None:
-                    # barrier change evaluated as a difference: raw values
-                    # are O(t b.gamma) and would swamp the decrease in noise
-                    dphi = (-t * alpha * float(b @ step)
-                            - (2.0 * float(np.sum(np.log(l_new.diagonal().real))) - logdet)
-                            - float(np.sum(np.log1p(alpha * step / gamma))))
-                    if dphi <= 0.25 * alpha * slope:
-                        break
-                alpha *= 0.5
-            else:
-                # no decrease along the noisy Newton direction: the iterate is
-                # as centered as float64 allows at this t; let the certified
-                # gap decide whether that is good enough
-                break
-            gamma, l = trial, l_new
-            newton_steps += 1
+    c = 2.0 * float(np.max(b / power))
+    w = c * np.eye(m, dtype=complex)
+    s = c * power - b
+    gamma = 0.5 / (n * power)
+    best = None  # smallest certified gap so far
+    mu_min = np.inf
+    stale = 0
+    steps = 0
+    while True:
+        z = eye - (h * gamma) @ h.conj().T
+        lz = np.linalg.cholesky(z)
+        lw = np.linalg.cholesky(w)
+        cand = _certify(h, b, w, z, gamma)
+        if cand is not None and (best is None or cand[3] < best[3]):
+            best = cand
+        if best is not None and best[3] <= tol * (1.0 + abs(best[2])):
+            return (*best, steps)
+        mu = (float(np.trace(w @ z).real) + float(s @ gamma)) / (m + n)
+        if mu < mu_min:
+            mu_min, stale = mu, 0
         else:
-            raise SolverStallError("centering did not converge")
-
-        # primal W = Z^-1 / t, scaled up until every target is met; linv
-        # and gram still belong to the final gamma
-        w = linv.conj().T @ linv / t
-        w = 0.5 * (w + w.conj().T)
-        delivered = gram.diagonal().real / t
-        w = w / min(1.0, float(np.min(delivered / b)))
-        # dual certificate: gamma rescaled exactly onto the boundary of
-        # {sum gamma G <= I}; any such gamma lower-bounds tr(W)
-        lam_max = float(np.linalg.eigvalsh((h * gamma) @ h.conj().T)[-1])
-        cert = gamma * ((1.0 - 1e-12) / lam_max)
-        obj = float(np.trace(w).real)
-        gap = obj - float(cert @ b)
-        prior_gap = best[3] if best is not None else np.inf
-        if best is None or gap < best[3]:
-            best = (w, cert, obj, gap)
-        if best[3] <= tol * (1.0 + abs(best[2])):
-            break
-        # near the optimum, a KKT refinement reaches machine precision
-        # where the barrier hits its float64 centering floor
-        if best[3] <= 1e-4 * (1.0 + abs(best[2])):
-            polished = _kkt_polish(g_act, b, best[0], best[1])
-            if polished is not None and polished[3] < best[3]:
-                best = polished
-            if best[3] <= tol * (1.0 + abs(best[2])):
-                break
-        # stop burning rounds once rounding noise pins the certified gap
-        if gap >= 0.95 * prior_gap:
-            stale_rounds += 1
-            if stale_rounds >= 3:
+            stale += 1
+            if stale >= 5:
+                gap = best[3] if best is not None else np.inf
                 raise SolverStallError(
-                    f"certified gap stalled at {best[3]:.3e} before reaching "
-                    f"{tol:.1e}*(1+|obj|); tolerance below the float64 floor")
-        else:
-            stale_rounds = 0
-        t *= mu
-    else:
-        raise SolverStallError("barrier rounds exhausted without closing the gap")
-    return (*best, newton_steps)
+                    f"duality measure stalled at {mu_min:.3e} with certified gap "
+                    f"{gap:.3e}, short of {tol:.1e}*(1+|obj|); tolerance below "
+                    f"the float64 floor")
+
+        lzi = np.linalg.inv(lz)
+        lwi = np.linalg.inv(lw)
+        zinv = lzi.conj().T @ lzi
+        zh = zinv @ h
+        wh = w @ h
+        # Schur complement of the HKM direction: one J x J system per step
+        schur = (h.conj().T @ wh * (h.conj().T @ zh).conj()).real + np.diag(s / gamma)
+        d = np.sum(h.conj() * zh, axis=0).real  # diag(H^H Z^-1 H)
+
+        def direction(target):
+            dg = np.linalg.solve(schur, b - target * d + target / gamma)
+            dz = -(h * dg) @ h.conj().T
+            t = (wh * dg) @ zh.conj().T
+            dw = target * zinv - w + 0.5 * (t + t.conj().T)
+            ds = target / gamma - s - s / gamma * dg
+            a_p = min(1.0, 0.95 * min(_max_step(lwi, dw), _ratio_step(s, ds)))
+            a_d = min(1.0, 0.95 * min(_max_step(lzi, dz), _ratio_step(gamma, dg)))
+            return dw, ds, dg, dz, a_p, a_d
+
+        # Mehrotra: the affine step's progress sets the centering weight
+        dw, ds, dg, dz, a_p, a_d = direction(0.0)
+        mu_aff = (float(np.trace((w + a_p * dw) @ (z + a_d * dz)).real)
+                  + float((s + a_p * ds) @ (gamma + a_d * dg))) / (m + n)
+        dw, ds, dg, _, a_p, a_d = direction((mu_aff / mu) ** 3 * mu)
+        w = w + a_p * dw
+        w = 0.5 * (w + w.conj().T)
+        s = s + a_p * ds
+        gamma = gamma + a_d * dg
+        steps += 1
 
 
 @dataclass(frozen=True)
@@ -451,12 +323,11 @@ def verify_beamforming(solution, channels, targets, tol=1e-9):
         total_power=solution.total_power, ok=ok)
 
 
-def required_power_linear(channels, rf_targets, params, tol=1e-9):
+def required_power_linear(channels, rf_targets, params):
     """Total transmit power when the rectifier is modeled as linear.
 
     Same SDP with input targets target_j / efficiency; baseline for
     comparing against the nonlinear rectifier model.
     """
     targets = np.asarray(rf_targets, dtype=float) / params.efficiency
-    sol = solve_aggregate_sdp(channels, targets, tol=tol)
-    return sol.objective
+    return solve_aggregate_sdp(channels, targets).objective

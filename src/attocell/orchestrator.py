@@ -118,7 +118,7 @@ class TraceLog:
         return trace
 
 
-def _ap_solve(scenario, harvest_targets, sdp_tol=1e-8):
+def _ap_solve(scenario, harvest_targets):
     """The access point's side: invert the rectifier, run the power SDP."""
     rf = sample_rf_channel(scenario.rf_ap, scenario.devices,
                            scenario.rician_factor_db,
@@ -126,12 +126,33 @@ def _ap_solve(scenario, harvest_targets, sdp_tol=1e-8):
     targets = build_eh_targets(np.asarray(harvest_targets, dtype=float),
                                scenario.rf_nonlinear)
     channels = rf.outer_products()
-    aggregate = solve_aggregate_sdp(channels, targets, tol=sdp_tol)
+    aggregate = solve_aggregate_sdp(channels, targets)
     return extract_beams(aggregate, channels)
 
 
-def run_centralized(scenario, theta, rf_cap=None, method="bisection",
-                    tol=1e-7, sdp_tol=1e-8):
+def _dispatch(scenario, trace, solution, broadcasts):
+    """Send a feasible split's broadcasts and AP targets, then solve at the AP.
+
+    ``broadcasts`` are the mode's (sender, receiver, kind, payload)
+    messages.  Returns (LightwaveSolution, BeamformingSolution, TraceLog).
+    Raises InfeasibleError when the demand cannot be met; the trace built
+    so far is attached to the exception as ``trace``.
+    """
+    if not solution.feasible:
+        err = InfeasibleError(f"demand {solution.theta} W not coverable "
+                              f"under RF cap {solution.rf_cap} W")
+        err.trace = trace
+        raise err
+    for message in broadcasts:
+        trace.send(*message)
+    trace.send(CONTROLLER, RF_AP, "rf_eh_targets",
+               {"harvest_targets": [float(v) for v in solution.rf_targets],
+                "theta": float(solution.theta), "rf_cap": float(solution.rf_cap),
+                "method": solution.method})
+    return solution, _ap_solve(scenario, solution.rf_targets), trace
+
+
+def run_centralized(scenario, theta, rf_cap=None, method="bisection", tol=1e-7):
     """Full-report architecture: all channel gains go to the control unit.
 
     Returns (LightwaveSolution, BeamformingSolution, TraceLog).  Raises
@@ -159,24 +180,13 @@ def run_centralized(scenario, theta, rf_cap=None, method="bisection",
         central.serving_gains(), central.gain_sums(), scenario.drive,
         scenario.vlc_eh, scenario.bias, scenario.noise_power, theta, rf_cap,
         method=method, tol=tol)
-    if not solution.feasible:
-        err = InfeasibleError(
-            f"demand {theta} W not coverable under RF cap {rf_cap} W")
-        err.trace = trace
-        raise err
-
-    for o in range(n_tx):
-        trace.send(CONTROLLER, _cell(o), "bias_broadcast",
+    broadcasts = [(CONTROLLER, _cell(o), "bias_broadcast",
                    {"bias": solution.bias, "ac_swing": solution.ac_swing})
-    trace.send(CONTROLLER, RF_AP, "rf_eh_targets",
-               {"harvest_targets": [float(v) for v in solution.rf_targets],
-                "theta": float(theta), "rf_cap": float(rf_cap),
-                "method": method})
-    beams = _ap_solve(scenario, solution.rf_targets, sdp_tol=sdp_tol)
-    return solution, beams, trace
+                  for o in range(n_tx)]
+    return _dispatch(scenario, trace, solution, broadcasts)
 
 
-def run_semi_decentralized(scenario, theta, rf_cap=None, tol=1e-7, sdp_tol=1e-8):
+def run_semi_decentralized(scenario, theta, rf_cap=None, tol=1e-7):
     """Two-scalar-uplink architecture with cell-local bias recovery.
 
     Returns (LightwaveSolution, BeamformingSolution, TraceLog).  The
@@ -212,11 +222,6 @@ def run_semi_decentralized(scenario, theta, rf_cap=None, tol=1e-7, sdp_tol=1e-8)
     solution = solve_op1_from_gains(
         serving, sums, scenario.drive, scenario.vlc_eh, scenario.bias,
         scenario.noise_power, theta, rf_cap, method="closed_form", tol=tol)
-    if not solution.feasible:
-        err = InfeasibleError(
-            f"demand {theta} W not coverable under RF cap {rf_cap} W")
-        err.trace = trace
-        raise err
 
     # the control unit only resolves the worst device's light/RF split;
     # its gain sum and targets go out to every cell and the AP
@@ -225,20 +230,14 @@ def run_semi_decentralized(scenario, theta, rf_cap=None, tol=1e-7, sdp_tol=1e-8)
     info = {"worst_user": int(worst), "gain_sum": float(sums[worst]),
             "rf_harvest": rf_worst, "light_target": float(theta - rf_worst),
             "theta": float(theta)}
-    for o in range(n_tx):
-        trace.send(CONTROLLER, _cell(o), "worst_user_info", info)
-    trace.send(CONTROLLER, RF_AP, "worst_user_info", info)
-
+    broadcasts = [(CONTROLLER, _cell(o), "worst_user_info", info)
+                  for o in range(n_tx)]
+    broadcasts.append((CONTROLLER, RF_AP, "worst_user_info", info))
     # every cell recovers the same bias from the same two numbers; the
     # worst device's serving cell is the designated reporter
-    trace.send(_cell(int(serving_tx[worst])), CONTROLLER, "bias_report",
-               {"bias": solution.bias, "ac_swing": solution.ac_swing})
-    trace.send(CONTROLLER, RF_AP, "rf_eh_targets",
-               {"harvest_targets": [float(v) for v in solution.rf_targets],
-                "theta": float(theta), "rf_cap": float(rf_cap),
-                "method": "closed_form"})
-    beams = _ap_solve(scenario, solution.rf_targets, sdp_tol=sdp_tol)
-    return solution, beams, trace
+    broadcasts.append((_cell(int(serving_tx[worst])), CONTROLLER, "bias_report",
+                       {"bias": solution.bias, "ac_swing": solution.ac_swing}))
+    return _dispatch(scenario, trace, solution, broadcasts)
 
 
 @dataclass(frozen=True)

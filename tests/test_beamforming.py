@@ -86,6 +86,33 @@ def test_positive_homogeneity():
     assert scaled.objective == pytest.approx(1000.0 * base.objective, rel=1e-8)
 
 
+def _assert_channel_scale_free(vecs, b, c):
+    # h -> c h divides the optimum by c^2; both answers carry certificates
+    base = solve_aggregate_sdp([np.outer(v, v.conj()) for v in vecs], b)
+    scaled = solve_aggregate_sdp([np.outer(c * v, (c * v).conj()) for v in vecs], b)
+    assert scaled.gap_relative <= 1e-7
+    assert abs(scaled.objective * c**2 - base.objective) <= scaled.gap * c**2 + base.gap
+
+
+@pytest.mark.parametrize("c", [1e-8, 1e-4, 1e-3, 1e3, 1e8])
+def test_channel_scale_invariance(c):
+    rng = np.random.default_rng(3)
+    _, vecs = _random_channels(rng, 4, 5)
+    _assert_channel_scale_free(vecs, rng.uniform(1e-3, 5e-3, 4), c)
+
+
+def test_weak_channel_draw_that_stalled():
+    # draw 37 of this family (4 antennas, 7 devices) once stalled with
+    # every channel vector scaled by 1e-3
+    rng = np.random.default_rng(42)
+    for _ in range(38):
+        n_ant = int(rng.integers(2, 7))
+        _, vecs = _random_channels(rng, int(rng.integers(1, 8)), n_ant)
+        b = rng.uniform(0.5e-3, 8e-3, len(vecs))
+    assert (n_ant, len(vecs)) == (4, 7)
+    _assert_channel_scale_free(vecs, b, 1e-3)
+
+
 def test_duplicate_channels_collapse():
     rng = np.random.default_rng(11)
     channels, vecs = _random_channels(rng, 1, 4)
@@ -144,6 +171,19 @@ def test_scenario_channels_end_to_end(scenario):
     beams = extract_beams(sol, ch.outer_products())
     report = verify_beamforming(beams, ch.outer_products(), targets)
     assert report.ok
+    assert len(beams.beams) == 1
+
+
+def test_rank_two_optimum_keeps_both_beams(scenario):
+    # the face step must not truncate a rank-two optimum (lambda_2/lambda_1 ~ 0.38)
+    ch = sample_rf_channel(scenario.rf_ap, scenario.devices,
+                           scenario.rician_factor_db,
+                           scenario.path_loss_exponent, seed=20260828)
+    targets = build_eh_targets(np.full(5, 2e-3), scenario.rf_nonlinear)
+    sol = solve_aggregate_sdp(ch.outer_products(), targets)
+    beams = extract_beams(sol, ch.outer_products())
+    assert len(beams.beams) == 2
+    assert beams.total_power == pytest.approx(sol.objective, rel=1e-10)
 
 
 def test_infeasible_zero_channel():
