@@ -182,6 +182,14 @@ def _certify(h, b, w, z, gamma):
     return w_face, cert, obj, obj - float(cert @ b)
 
 
+def _stalled(mu_min, best, tol):
+    gap = best[3] if best is not None else np.inf
+    return SolverStallError(
+        f"duality measure stalled at {mu_min:.3e} with certified gap "
+        f"{gap:.3e}, short of {tol:.1e}*(1+|obj|); tolerance below "
+        f"the float64 floor")
+
+
 def _primal_dual(h, b, tol):
     """Feasible primal-dual interior-point steps over (W, s, gamma).
 
@@ -202,8 +210,14 @@ def _primal_dual(h, b, tol):
     steps = 0
     while True:
         z = eye - (h * gamma) @ h.conj().T
-        lz = np.linalg.cholesky(z)
-        lw = np.linalg.cholesky(w)
+        try:
+            lz = np.linalg.cholesky(z)
+            lw = np.linalg.cholesky(w)
+        except np.linalg.LinAlgError:
+            if steps == 0:
+                raise
+            # rounding has pushed a late iterate off the cone: no more progress
+            raise _stalled(mu_min, best, tol) from None
         cand = _certify(h, b, w, z, gamma)
         if cand is not None and (best is None or cand[3] < best[3]):
             best = cand
@@ -215,11 +229,7 @@ def _primal_dual(h, b, tol):
         else:
             stale += 1
             if stale >= 5:
-                gap = best[3] if best is not None else np.inf
-                raise SolverStallError(
-                    f"duality measure stalled at {mu_min:.3e} with certified gap "
-                    f"{gap:.3e}, short of {tol:.1e}*(1+|obj|); tolerance below "
-                    f"the float64 floor")
+                raise _stalled(mu_min, best, tol)
 
         lzi = np.linalg.inv(lz)
         lwi = np.linalg.inv(lw)

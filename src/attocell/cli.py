@@ -16,9 +16,9 @@ from .beamforming import build_eh_targets, extract_beams, solve_aggregate_sdp
 from .channels import build_vlc_matrix, sample_rf_channel
 from .errors import (InfeasibleError, ScenarioError, SolverStallError,
                      TargetUnreachableError, UnservableDeviceError)
-from .experiments import (exp_eh_allocation, exp_feasibility_vs_theta,
-                          exp_illuminance, exp_rf_power, exp_snr_eh_region,
-                          exp_subopt_gap)
+from .experiments import (ExperimentResult, exp_eh_allocation,
+                          exp_feasibility_vs_theta, exp_illuminance,
+                          exp_rf_power, exp_snr_eh_region, exp_subopt_gap)
 from .lightwave import solve_op1
 from .orchestrator import run_centralized, run_semi_decentralized
 from .scenario import default_scenario, load_scenario, parse_quantity
@@ -66,39 +66,18 @@ def _cmd_scenario_validate(args):
 
 def _cmd_channels_dump(args):
     sc = _load(args)
-    matrix = build_vlc_matrix(sc.transmitters, sc.devices)
+    gains = build_vlc_matrix(sc.transmitters, sc.devices).gains
     rf = sample_rf_channel(sc.rf_ap, sc.devices, sc.rician_factor_db,
-                           sc.path_loss_exponent, sc.seed)
-    os.makedirs(args.out_dir, exist_ok=True)
-
-    from .experiments import ExperimentResult
-    n_tx, n_el, n_dev = matrix.gains.shape
-    vcols = {"transmitter": [], "element": [], "device": [], "gain": []}
-    for o in range(n_tx):
-        for i in range(n_el):
-            for j in range(n_dev):
-                vcols["transmitter"].append(o)
-                vcols["element"].append(i)
-                vcols["device"].append(j)
-                vcols["gain"].append(float(matrix.gains[o, i, j]))
-    vcols["scenario_hash"] = [sc.hash] * len(vcols["gain"])
-    vcols["seed"] = [sc.seed] * len(vcols["gain"])
-    vres = ExperimentResult(name="vlc_channels", columns=vcols)
-
-    rcols = {"device": [], "antenna": [], "re": [], "im": []}
-    n_dev, n_ant = rf.vectors.shape
-    for j in range(n_dev):
-        for a in range(n_ant):
-            rcols["device"].append(j)
-            rcols["antenna"].append(a)
-            rcols["re"].append(float(rf.vectors[j, a].real))
-            rcols["im"].append(float(rf.vectors[j, a].imag))
-    rcols["scenario_hash"] = [sc.hash] * len(rcols["re"])
-    rcols["seed"] = [sc.seed] * len(rcols["re"])
-    rres = ExperimentResult(name="rf_channels", columns=rcols)
-
-    for res in (vres, rres):
-        print(f"wrote {_write_result(res, args)}")
+                           sc.path_loss_exponent, sc.seed).vectors
+    o, i, j = np.indices(gains.shape).reshape(3, -1).tolist()
+    vcols = {"transmitter": o, "element": i, "device": j, "gain": gains.ravel().tolist()}
+    dev, ant = np.indices(rf.shape).reshape(2, -1).tolist()
+    rcols = {"device": dev, "antenna": ant, "re": rf.real.ravel().tolist(),
+             "im": rf.imag.ravel().tolist()}
+    for name, cols in (("vlc_channels", vcols), ("rf_channels", rcols)):
+        n = len(cols["device"])
+        cols.update(scenario_hash=[sc.hash] * n, seed=[sc.seed] * n)
+        print(f"wrote {_write_result(ExperimentResult(name=name, columns=cols), args)}")
     return EXIT_OK
 
 
@@ -158,15 +137,12 @@ def _cmd_solve(args):
     print(f"rf transmit power {beams.total_power*1e3:.6f} mW  "
           f"beams {len(beams.beams)}")
 
-    if args.out_dir != ".":
-        os.makedirs(args.out_dir, exist_ok=True)
+    os.makedirs(args.out_dir, exist_ok=True)
     if trace is not None:
         trace_path = os.path.join(args.out_dir, f"trace_{args.mode}.jsonl")
-        os.makedirs(args.out_dir, exist_ok=True)
         trace.to_jsonl(trace_path)
         print(f"wrote {trace_path} ({len(trace)} messages)")
     sol_path = os.path.join(args.out_dir, "solution.json")
-    os.makedirs(args.out_dir, exist_ok=True)
     with open(sol_path, "w") as fh:
         json.dump(_solution_dict(sol, beams), fh, sort_keys=True, indent=1)
         fh.write("\n")

@@ -240,7 +240,7 @@ def exp_rf_power(scenario, rf_levels=None, trials=100, theta=4e-3):
         cols["solver_failures"].append(failures)
 
     n = len(cols["rf_level_w"])
-    cols.update(_provenance(scenario, n, "barrier_sdp"))
+    cols.update(_provenance(scenario, n, "primal_dual_sdp"))
     return ExperimentResult(
         name="rf_power", columns=cols,
         meta={"trials": trials, "theta_w": float(theta),

@@ -58,15 +58,11 @@ class OpticalTransmitter:
 
     position: np.ndarray
     elements: tuple
-    leds_per_color: int
-    led_voltage: float  # forward voltage per LED chip, volts
 
     def __post_init__(self):
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
         if len(self.elements) < 1:
             raise ScenarioError("transmitter needs at least one element")
-        if self.leds_per_color < 1 or self.led_voltage <= 0:
-            raise ScenarioError("invalid LED drive parameters")
 
 
 @dataclass(frozen=True)
@@ -74,14 +70,13 @@ class Photodetector:
     """Photodiode with a non-imaging concentrator, facing straight up."""
 
     area: float              # m^2
-    responsivity: float      # A/W
     fov: float               # concentrator field of view (half angle), rad
     refractive_index: float
     filter_gain: float = 1.0
 
     def __post_init__(self):
-        if self.area <= 0 or self.responsivity <= 0:
-            raise ScenarioError("detector area and responsivity must be positive")
+        if self.area <= 0:
+            raise ScenarioError("detector area must be positive")
         if not 0 < self.fov <= np.pi / 2:
             raise ScenarioError("detector FOV must lie in (0, pi/2]")
         if self.refractive_index < 1:

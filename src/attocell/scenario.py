@@ -3,7 +3,11 @@
 A scenario file is YAML.  Dimensioned entries accept either a bare
 number (interpreted as SI) or a string with a unit suffix such as
 "12 mA", "85 cm2", "60 deg".  Everything is resolved to SI floats
-before any physics runs, and the resolved form is what gets hashed.
+before any physics runs.  The scenario hash covers the resolved inputs:
+the loaded file with every quantity in SI, plus the seed and a schema
+version.  Geometry derived from them (element boresights, devices
+placed by bearing) is not hashed, so the digest involves no
+trigonometry and is the same on every libm and numpy build.
 """
 
 import hashlib
@@ -27,6 +31,8 @@ from .geometry import (
 
 __all__ = ["parse_quantity", "Scenario", "load_scenario", "default_scenario", "scenario_hash"]
 
+SCHEMA = 1  # bump when the same file starts resolving to a different scenario
+
 _UNIT_SCALE = {
     "": 1.0,
     "A": 1.0, "mA": 1e-3, "uA": 1e-6,
@@ -37,7 +43,8 @@ _UNIT_SCALE = {
     "m2": 1.0, "cm2": 1e-4, "mm2": 1e-6,
 }
 
-_QTY_RE = re.compile(r"^\s*([-+]?[0-9.]+(?:[eE][-+]?[0-9]+)?)\s*([A-Za-z2]*)\s*$")
+_QTY_RE = re.compile(
+    r"^\s*([-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)\s*([A-Za-z2]*)\s*$")
 
 
 def parse_quantity(value):
@@ -100,16 +107,21 @@ class Scenario:
 
 
 def scenario_hash(canonical):
-    """Short stable digest of the resolved SI scenario."""
-    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"))
+    """Short stable digest of a scenario's resolved inputs."""
+    blob = json.dumps(canonical, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def _element_dicts(elements):
-    return [
-        {"boresight": [float(b) for b in el.boresight], "semiangle": el.semiangle}
-        for el in elements
-    ]
+def _resolved(node):
+    """``node`` with every quantity leaf resolved to its SI float."""
+    if isinstance(node, dict):
+        return {str(k): _resolved(v) for k, v in node.items()}
+    if isinstance(node, list):
+        return [_resolved(v) for v in node]
+    try:
+        return parse_quantity(node)
+    except (ScenarioError, OverflowError):
+        return node  # not a quantity: hashed as written
 
 
 def _resolve(cfg):
@@ -128,29 +140,28 @@ def _resolve(cfg):
     offsets = _qty_list(_require(opt, "ring_azimuth_offsets", "optical"))
     if len(offsets) != len(positions):
         raise ScenarioError("need one ring azimuth offset per transmitter")
-    leds = int(_require(opt, "leds_per_color", "optical"))
-    v_led = parse_quantity(_require(opt, "led_voltage", "optical"))
     bias = BiasLimits(parse_quantity(_require(opt, "bias_low", "optical")),
                       parse_quantity(_require(opt, "bias_high", "optical")))
     efficacy = float(_require(opt, "efficacy", "optical"))
 
     det_cfg = _require(cfg, "detector", "scenario")
-    responsivity = parse_quantity(_require(det_cfg, "responsivity", "detector"))
     detector = Photodetector(
         area=parse_quantity(_require(det_cfg, "area", "detector")),
-        responsivity=responsivity,
         fov=parse_quantity(_require(det_cfg, "fov", "detector")),
         refractive_index=float(_require(det_cfg, "refractive_index", "detector")),
     )
-    drive = DriveParams(responsivity=responsivity, leds_per_color=leds, led_voltage=v_led)
+    drive = DriveParams(
+        responsivity=parse_quantity(_require(det_cfg, "responsivity", "detector")),
+        leds_per_color=int(_require(opt, "leds_per_color", "optical")),
+        led_voltage=parse_quantity(_require(opt, "led_voltage", "optical")),
+    )
 
     transmitters = []
     for pos, off in zip(positions, offsets):
         if np.any(pos < 0) or np.any(pos > room):
             raise ScenarioError(f"transmitter at {pos} outside the room")
         elements = build_angle_diversity_layout(n_el, tilt, off, semiangle)
-        transmitters.append(OpticalTransmitter(position=pos, elements=elements,
-                                               leds_per_color=leds, led_voltage=v_led))
+        transmitters.append(OpticalTransmitter(position=pos, elements=elements))
 
     devices = []
     for k, dev_cfg in enumerate(_require(cfg, "devices", "scenario")):
@@ -206,36 +217,12 @@ def _resolve(cfg):
     if noise <= 0:
         raise ScenarioError("noise power must be positive")
 
-    canonical = {
-        "seed": seed,
-        "room": [float(x) for x in room],
-        "transmitters": [
-            {"position": [float(x) for x in t.position], "elements": _element_dicts(t.elements)}
-            for t in transmitters
-        ],
-        "devices": [[float(x) for x in d.position] for d in devices],
-        "detector": {"area": detector.area, "responsivity": detector.responsivity,
-                     "fov": detector.fov, "refractive_index": detector.refractive_index},
-        "drive": {"leds_per_color": leds, "led_voltage": v_led},
-        "bias": [bias.low, bias.high],
-        "vlc_harvest": {"fill_factor": vlc_eh.fill_factor,
-                        "thermal_voltage": vlc_eh.thermal_voltage,
-                        "dark_current": vlc_eh.dark_current},
-        "rf": {"access_point": [float(x) for x in rf_ap.position], "antennas": rf_ap.antennas,
-               "rician_factor_db": rician, "path_loss_exponent": ple, "exposure_cap": cap},
-        "rf_harvest": {"max_harvest": rf_nonlinear.max_harvest,
-                       "steepness": rf_nonlinear.steepness,
-                       "turn_on": rf_nonlinear.turn_on,
-                       "linear_efficiency": rf_linear.efficiency},
-        "noise_power": noise,
-        "efficacy": efficacy,
-    }
-
     return Scenario(
         seed=seed, room_size=room, transmitters=tuple(transmitters), devices=tuple(devices),
         drive=drive, bias=bias, vlc_eh=vlc_eh, rf_ap=rf_ap, rician_factor_db=rician,
         path_loss_exponent=ple, rf_exposure_cap=cap, rf_nonlinear=rf_nonlinear,
-        rf_linear=rf_linear, noise_power=noise, efficacy=efficacy, canonical=canonical,
+        rf_linear=rf_linear, noise_power=noise, efficacy=efficacy,
+        canonical=dict(_resolved(cfg), schema=SCHEMA, seed=seed),
     )
 
 

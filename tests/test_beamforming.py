@@ -211,7 +211,7 @@ def test_unreachable_tolerance_stalls():
     rng = np.random.default_rng(13)
     channels, _ = _random_channels(rng, 3, 4)
     b = rng.uniform(1e-3, 4e-3, 3)
-    with pytest.raises(SolverStallError):
+    with pytest.raises(SolverStallError, match="certified gap"):
         solve_aggregate_sdp(channels, b, tol=1e-30)
 
 

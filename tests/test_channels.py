@@ -21,14 +21,12 @@ SUMS = np.array([0.0110196367788, 0.00728190347223, 0.0170282789216,
 
 
 def _detector():
-    return Photodetector(area=85e-4, responsivity=0.4, fov=60 * DEG,
-                         refractive_index=1.5)
+    return Photodetector(area=85e-4, fov=60 * DEG, refractive_index=1.5)
 
 
 def _single_tx(position=(0.0, 0.0, 3.0), semiangle=17 * DEG):
     elements = build_angle_diversity_layout(1, 0.0, 0.0, semiangle)
-    return OpticalTransmitter(position=np.asarray(position), elements=elements,
-                              leds_per_color=40, led_voltage=2.25)
+    return OpticalTransmitter(position=np.asarray(position), elements=elements)
 
 
 def test_concentrator_gain_value_and_cutoff():
@@ -112,8 +110,7 @@ def test_build_matrix_requires_uniform_elements():
     t1 = _single_tx()
     t7 = OpticalTransmitter(
         position=np.array([1.0, 0.0, 3.0]),
-        elements=build_angle_diversity_layout(7, 84 * DEG, 0.0, 17 * DEG),
-        leds_per_color=40, led_voltage=2.25)
+        elements=build_angle_diversity_layout(7, 84 * DEG, 0.0, 17 * DEG))
     dev = Device(position=np.array([0.0, 0.0, 1.0]), detector=det)
     with pytest.raises(DimensionMismatchError):
         build_vlc_matrix([t1, t7], [dev])

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -6,15 +7,15 @@ import pytest
 from attocell.beamforming import solve_aggregate_sdp
 from attocell.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_SOLVER,
                           main)
+from attocell.channels import build_vlc_matrix
 from attocell.errors import SolverStallError
-
-FROZEN_HASH = "6ec16058f814e4a2"
+from attocell.scenario import default_scenario
 
 
 def test_scenario_validate_default(capsys):
     assert main(["scenario", "validate"]) == EXIT_OK
     out = capsys.readouterr().out
-    assert FROZEN_HASH in out
+    assert default_scenario().hash in out
 
 
 def test_scenario_validate_bad_file(tmp_path, capsys):
@@ -33,6 +34,24 @@ def test_channels_dump(tmp_path):
     files = {p.name for p in tmp_path.iterdir()}
     assert any("vlc" in f for f in files)
     assert any("rf" in f for f in files)
+
+
+def test_channels_dump_tables(tmp_path):
+    assert main(["channels", "dump", "--out-dir", str(tmp_path)]) == EXIT_OK
+    sc = default_scenario()
+    gains = build_vlc_matrix(sc.transmitters, sc.devices).gains
+    with open(tmp_path / "vlc_channels.csv") as fh:
+        vlc = list(csv.DictReader(fh))
+    assert len(vlc) == gains.size == 140
+    for row in vlc:
+        want = gains[int(row["transmitter"]), int(row["element"]), int(row["device"])]
+        assert row["gain"] == f"{want:.12g}"
+        assert row["scenario_hash"] == sc.hash
+    with open(tmp_path / "rf_channels.csv") as fh:
+        rf = list(csv.DictReader(fh))
+    assert len(rf) == 30
+    assert {(int(r["device"]), int(r["antenna"])) for r in rf} == {
+        (j, a) for j in range(5) for a in range(6)}
 
 
 def test_solve_direct(tmp_path, capsys):

@@ -70,11 +70,11 @@ def test_element_rejects_non_unit_boresight():
 
 
 def test_photodetector_validation():
-    Photodetector(area=85e-4, responsivity=0.4, fov=60 * DEG, refractive_index=1.5)
+    Photodetector(area=85e-4, fov=60 * DEG, refractive_index=1.5)
     with pytest.raises(ScenarioError):
-        Photodetector(area=-1.0, responsivity=0.4, fov=60 * DEG, refractive_index=1.5)
+        Photodetector(area=-1.0, fov=60 * DEG, refractive_index=1.5)
     with pytest.raises(ScenarioError):
-        Photodetector(area=85e-4, responsivity=0.4, fov=2.0, refractive_index=1.5)
+        Photodetector(area=85e-4, fov=2.0, refractive_index=1.5)
 
 
 def test_access_point_needs_antennas():

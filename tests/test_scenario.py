@@ -1,14 +1,18 @@
+import copy
+import datetime
 from importlib import resources
 
 import numpy as np
 import pytest
 import yaml
 
+import attocell.scenario
 from attocell.errors import ScenarioError
-from attocell.scenario import (default_scenario, load_scenario, parse_quantity,
-                               scenario_hash)
+from attocell.geometry import OpticalElement
+from attocell.scenario import (_resolve, default_scenario, load_scenario,
+                               parse_quantity, scenario_hash)
 
-FROZEN_HASH = "6ec16058f814e4a2"
+FROZEN_HASH = "a56744421fd35ba1"
 
 
 def test_parse_quantity_units():
@@ -125,3 +129,85 @@ def test_validation_nonpositive_cap():
     cfg = _bundled_cfg()
     cfg["rf"]["exposure_cap"] = "0 mW"
     _resolve_raises(cfg, match="cap")
+
+
+def _leaves(node, path=()):
+    """(path, value) for every scalar of a loaded YAML tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        yield path, node
+        return
+    for key, child in items:
+        yield from _leaves(child, path + (key,))
+
+
+def _with_leaf(cfg, path, value):
+    cfg = copy.deepcopy(cfg)
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return cfg
+
+
+def _alternatives(value):
+    """Other values a leaf could take, each in the leaf's own notation."""
+    if isinstance(value, str):
+        num, _, unit = value.partition(" ")
+        return [f"{x!r} {unit}" for x in _alternatives(float(num))]
+    return [value + 1, value - 1, value * 1.01, value * 0.99]
+
+
+def test_hash_ignores_last_ulp_of_derived_geometry(monkeypatch, scenario):
+    build = attocell.scenario.build_angle_diversity_layout
+
+    def nudged(*args):
+        return tuple(OpticalElement(np.nextafter(el.boresight, np.inf), el.semiangle)
+                     for el in build(*args))
+
+    monkeypatch.setattr(attocell.scenario, "build_angle_diversity_layout", nudged)
+    other = default_scenario()
+    moved = [not np.array_equal(a.boresight, b.boresight)
+             for ta, tb in zip(other.transmitters, scenario.transmitters)
+             for a, b in zip(ta.elements, tb.elements)]
+    assert all(moved) and len(moved) == 28
+    assert other.hash == scenario.hash
+
+
+def test_hash_sees_si_values_not_notation(scenario):
+    cfg = _bundled_cfg()
+    quantities = [(path, v) for path, v in _leaves(cfg) if isinstance(v, str)]
+    assert len(quantities) == 22
+    for path, v in quantities:
+        cfg = _with_leaf(cfg, path, parse_quantity(v))
+    assert _resolve(cfg).hash == scenario.hash
+
+
+def test_every_input_leaf_moves_the_hash(scenario):
+    cfg = _bundled_cfg()
+    leaves = list(_leaves(cfg))
+    assert len(leaves) == 67
+    for path, value in leaves:
+        for alt in _alternatives(value):
+            try:
+                other = _resolve(_with_leaf(cfg, path, alt))
+            except (ScenarioError, ValueError):
+                continue
+            assert other.hash != scenario.hash, path
+            break
+        else:
+            pytest.fail(f"no valid alternative value for leaf {path}")
+
+
+def test_keys_the_resolver_ignores_still_load(scenario):
+    cfg = _bundled_cfg()
+    cfg["notes"] = {"version": "1.2.3", "dot": ".", "label": "5 furlongs",
+                    "when": datetime.date(2026, 10, 18), "big": 10 ** 400,
+                    "blob": b"raw", 1: "int key", "flag": True, "none": None}
+    assert _resolve(cfg).hash != scenario.hash
+    for bad in ("1.2.3 mA", "."):
+        with pytest.raises(ScenarioError, match="malformed"):
+            parse_quantity(bad)
