@@ -7,9 +7,8 @@ RF-allocation problem and the AP's minimum-power beamforming, and runs
 both control architectures as explicit message-passing simulations.
 """
 
-from .channels import (RfChannelSet, VlcChannelMatrix, assign_serving_elements,
-                       build_vlc_matrix, concentrator_gain, sample_rf_channel,
-                       vlc_channel_gain)
+from .channels import (RfChannelSet, VlcChannelMatrix, build_vlc_matrix,
+                       concentrator_gain, sample_rf_channel, vlc_channel_gain)
 from .energy import (BiasLimits, DriveParams, LinearEhParams, NonlinearEhParams,
                      VlcEhParams, generated_current, linear_eh, nonlinear_eh,
                      nonlinear_eh_inverse, open_circuit_voltage, rf_input_energy,
@@ -27,8 +26,7 @@ from .beamforming import (BeamformingSolution, EhTargets, PsdMatrix,
                           required_power_linear, solve_aggregate_sdp,
                           verify_beamforming)
 from .numerics import lambert_w0
-from .orchestrator import (ControlMessage, ModeComparison, TraceLog,
-                           compare_modes, replay, run_centralized,
+from .orchestrator import (ControlMessage, TraceLog, replay, run_centralized,
                            run_semi_decentralized)
 from .experiments import (ExperimentResult, exp_eh_allocation,
                           exp_feasibility_vs_theta, exp_illuminance,

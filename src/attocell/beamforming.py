@@ -95,15 +95,18 @@ class PsdMatrix:
 def solve_aggregate_sdp(channels, targets, tol=1e-8):
     """Minimize tr(W) over PSD W with tr(W G_j) >= target_j.
 
-    ``channels`` are the rank-one matrices g_j g_j^H.  Targets are
-    normalized by their maximum before solving (the problem is exactly
-    positively homogeneous) and the result scaled back, so scaled
-    instances produce bitwise-scaled optima.  Channels are normalized by
-    their largest power the same way.  Terminates when the certified
-    duality gap of the normalized problem drops below
-    tol * (1 + |objective|).
+    ``channels`` are the rank-one matrices g_j g_j^H.  ``targets`` is an
+    EhTargets or anything EhTargets accepts; either way it must be 1-d,
+    finite and nonnegative, else ValueError.  Targets are normalized by
+    their maximum before solving (the problem is exactly positively
+    homogeneous) and the result scaled back, so scaled instances produce
+    bitwise-scaled optima.  Channels are normalized by their largest
+    power the same way.  Terminates when the certified duality gap of
+    the normalized problem drops below tol * (1 + |objective|).
     """
-    b_raw = targets.input_targets if isinstance(targets, EhTargets) else np.asarray(targets, dtype=float)
+    if not isinstance(targets, EhTargets):
+        targets = EhTargets(input_targets=targets)
+    b_raw = targets.input_targets
     gs = [np.asarray(g, dtype=complex) for g in channels]
     if len(gs) != len(b_raw):
         raise DimensionMismatchError("one channel matrix per target required")
@@ -274,10 +277,13 @@ class BeamformingSolution:
     iterations: int = 0
 
 
-def extract_beams(aggregate, channels, rank_tol=1e-9):
+_RANK_TOL = 1e-9
+
+
+def extract_beams(aggregate, channels):
     """Eigen-decompose the aggregate matrix into unlabeled energy beams.
 
-    Beams are sqrt(lambda_k) u_k for eigenvalues above rank_tol times
+    Beams are sqrt(lambda_k) u_k for eigenvalues above _RANK_TOL times
     the largest; rank_one_ratio is lambda_2 / lambda_1.
     """
     w = aggregate.entries
@@ -289,7 +295,7 @@ def extract_beams(aggregate, channels, rank_tol=1e-9):
         beams = ()
         ratio = 0.0
     else:
-        keep = vals > rank_tol * lmax
+        keep = vals > _RANK_TOL * lmax
         beams = tuple(np.sqrt(vals[k]) * vecs[:, k] for k in np.nonzero(keep)[0])
         ratio = float(max(vals[1], 0.0) / lmax) if vals.size > 1 else 0.0
     delivered = np.array([float(np.trace(w @ np.asarray(g)).real) for g in channels])

@@ -17,7 +17,6 @@ __all__ = [
     "vlc_channel_gain",
     "VlcChannelMatrix",
     "build_vlc_matrix",
-    "assign_serving_elements",
     "RfChannelSet",
     "sample_rf_channel",
 ]
@@ -36,8 +35,9 @@ def concentrator_gain(refractive_index, fov, incidence):
 def vlc_channel_gain(transmitter, element_index, device):
     """Line-of-sight DC gain of one transmitter element at one device.
 
-    h = A (m+1) / (2 pi d^2) cos^m(phi) T_s g(psi) cos(psi), zero
-    outside the detector field of view or behind the element.
+    h = A (m+1) / (2 pi d^2) cos^m(phi) g(psi) cos(psi) behind an ideal
+    optical filter, zero outside the detector field of view or behind
+    the element.
     """
     el = transmitter.elements[element_index]
     det = device.detector
@@ -56,7 +56,7 @@ def vlc_channel_gain(transmitter, element_index, device):
         return 0.0
     m = el.lambert_m
     return (det.area * (m + 1.0) / (2.0 * np.pi * d * d)
-            * cos_phi**m * det.filter_gain * g * cos_psi)
+            * cos_phi**m * g * cos_psi)
 
 
 @dataclass(frozen=True)
@@ -95,7 +95,11 @@ class VlcChannelMatrix:
 
 
 def build_vlc_matrix(transmitters, devices):
-    """Evaluate every (transmitter, element, device) line-of-sight gain."""
+    """Evaluate every (transmitter, element, device) line-of-sight gain.
+
+    Raises UnservableDeviceError naming the first device that receives
+    no light from any element.
+    """
     if not transmitters or not devices:
         raise DimensionMismatchError("need at least one transmitter and one device")
     n_el = len(transmitters[0].elements)
@@ -106,27 +110,10 @@ def build_vlc_matrix(transmitters, devices):
         for i in range(n_el):
             for j, dev in enumerate(devices):
                 gains[o, i, j] = vlc_channel_gain(tx, i, dev)
+    unlit = np.flatnonzero(gains.max(axis=(0, 1)) <= 0.0)
+    if unlit.size:
+        raise UnservableDeviceError(f"device {unlit[0]} receives no light")
     return VlcChannelMatrix(gains)
-
-
-def assign_serving_elements(matrix):
-    """Pick the strongest (transmitter, element) pair for every device.
-
-    Ties break toward the lower flat index.  Raises
-    UnservableDeviceError if a device sees no light at all.
-
-    Returns:
-        integer array of shape (devices, 2) holding (transmitter, element).
-    """
-    g = matrix.gains
-    out = np.zeros((matrix.n_devices, 2), dtype=int)
-    for j in range(matrix.n_devices):
-        col = g[:, :, j]
-        if col.max() <= 0.0:
-            raise UnservableDeviceError(f"device {j} receives no light")
-        o, i = np.unravel_index(np.argmax(col), col.shape)
-        out[j] = (o, i)
-    return out
 
 
 @dataclass(frozen=True)

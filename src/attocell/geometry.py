@@ -72,7 +72,6 @@ class Photodetector:
     area: float              # m^2
     fov: float               # concentrator field of view (half angle), rad
     refractive_index: float
-    filter_gain: float = 1.0
 
     def __post_init__(self):
         if self.area <= 0:

@@ -43,9 +43,8 @@ class IlluminanceMap:
         return float(np.trapezoid(inner, self.ys))
 
 
-def illuminance_map(transmitters, drive, bias, efficacy, room_size,
-                    grid_step=0.1, plane_height=0.0):
-    """Horizontal illuminance over the room on a uniform grid.
+def illuminance_map(transmitters, drive, bias, efficacy, room_size, grid_step=0.1):
+    """Horizontal illuminance over the floor on a uniform grid.
 
     E(p) = sum_elements Phi (m+1) / (2 pi d^2) cos^m(phi) cos(psi)
     with psi measured against the upward plane normal.  The grid spans
@@ -57,7 +56,7 @@ def illuminance_map(transmitters, drive, bias, efficacy, room_size,
     ys = np.linspace(0.0, ly, int(round(ly / grid_step)) + 1)
     flux = element_luminous_flux(drive, bias, efficacy)
     gx, gy = np.meshgrid(xs, ys)
-    pts = np.stack([gx, gy, np.full_like(gx, plane_height)], axis=-1)
+    pts = np.stack([gx, gy, np.zeros_like(gx)], axis=-1)
     values = np.zeros_like(gx)
     for tx in transmitters:
         vec = pts - tx.position

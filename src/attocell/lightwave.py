@@ -65,29 +65,30 @@ def solve_subrf(theta, max_light_eh, min_light_eh, rf_cap):
     return SubRfOutcome(feasible=True, rf_target=rf, vlc_target=theta - rf, slack=slack)
 
 
-def solve_bias_bisection(drive, eh_params, gain_sum, target, bias_limits,
-                         tol=1e-7, max_iter=200):
+def solve_bias_bisection(drive, eh_params, gain_sum, target, bias_limits, tol=1e-7):
     """Smallest DC bias whose light harvest meets ``target``.
 
     Bisects on [midpoint, high] keeping the upper endpoint feasible and
     returns that endpoint, so the answer always satisfies the target.
+    The top of the range leaves no swing, so it is returned only when
+    no lower float bias meets the target.  The loop ends at the latest
+    when the endpoints are adjacent floats.
     """
     lo = bias_limits.midpoint
-    hi = bias_limits.high
+    hi = top = bias_limits.high
     if target <= vlc_harvested_power(drive, eh_params, gain_sum, lo):
         return lo
     if target > vlc_harvested_power(drive, eh_params, gain_sum, hi):
         raise TargetUnreachableError(
             f"light harvest target {target} W above reach {hi} A bias")
-    for _ in range(max_iter):
-        if hi - lo <= tol:
-            break
+    while True:
         mid = 0.5 * (lo + hi)
+        if (hi - lo <= tol and hi < top) or mid in (lo, hi):
+            return hi
         if vlc_harvested_power(drive, eh_params, gain_sum, mid) >= target:
             hi = mid
         else:
             lo = mid
-    return hi
 
 
 def solve_bias_closed_form(drive, eh_params, gain_sum, target, bias_limits):
@@ -208,8 +209,8 @@ def solve_op1_from_gains(serving_gains, gain_sums, drive, vlc_eh, bias_limits,
 
 
 def solve_op1(matrix, drive, vlc_eh, bias_limits, noise_power, theta, rf_cap,
-              method="bisection", tol=1e-7):
+              method="bisection"):
     """Max-min SNR allocation for a full channel matrix; see solve_op1_from_gains."""
     return solve_op1_from_gains(
         matrix.serving_gains(), matrix.gain_sums(), drive, vlc_eh, bias_limits,
-        noise_power, theta, rf_cap, method=method, tol=tol)
+        noise_power, theta, rf_cap, method=method)

@@ -32,9 +32,6 @@ __all__ = [
     "TraceLog",
     "run_centralized",
     "run_semi_decentralized",
-    "compare_modes",
-    "ModePoint",
-    "ModeComparison",
     "replay",
 ]
 
@@ -152,7 +149,7 @@ def _dispatch(scenario, trace, solution, broadcasts):
     return solution, _ap_solve(scenario, solution.rf_targets), trace
 
 
-def run_centralized(scenario, theta, rf_cap=None, method="bisection", tol=1e-7):
+def run_centralized(scenario, theta, rf_cap=None, method="bisection"):
     """Full-report architecture: all channel gains go to the control unit.
 
     Returns (LightwaveSolution, BeamformingSolution, TraceLog).  Raises
@@ -179,14 +176,14 @@ def run_centralized(scenario, theta, rf_cap=None, method="bisection", tol=1e-7):
     solution = solve_op1_from_gains(
         central.serving_gains(), central.gain_sums(), scenario.drive,
         scenario.vlc_eh, scenario.bias, scenario.noise_power, theta, rf_cap,
-        method=method, tol=tol)
+        method=method)
     broadcasts = [(CONTROLLER, _cell(o), "bias_broadcast",
                    {"bias": solution.bias, "ac_swing": solution.ac_swing})
                   for o in range(n_tx)]
     return _dispatch(scenario, trace, solution, broadcasts)
 
 
-def run_semi_decentralized(scenario, theta, rf_cap=None, tol=1e-7):
+def run_semi_decentralized(scenario, theta, rf_cap=None):
     """Two-scalar-uplink architecture with cell-local bias recovery.
 
     Returns (LightwaveSolution, BeamformingSolution, TraceLog).  The
@@ -221,7 +218,7 @@ def run_semi_decentralized(scenario, theta, rf_cap=None, tol=1e-7):
 
     solution = solve_op1_from_gains(
         serving, sums, scenario.drive, scenario.vlc_eh, scenario.bias,
-        scenario.noise_power, theta, rf_cap, method="closed_form", tol=tol)
+        scenario.noise_power, theta, rf_cap, method="closed_form")
 
     # the control unit only resolves the worst device's light/RF split;
     # its gain sum and targets go out to every cell and the AP
@@ -238,61 +235,6 @@ def run_semi_decentralized(scenario, theta, rf_cap=None, tol=1e-7):
     broadcasts.append((_cell(int(serving_tx[worst])), CONTROLLER, "bias_report",
                        {"bias": solution.bias, "ac_swing": solution.ac_swing}))
     return _dispatch(scenario, trace, solution, broadcasts)
-
-
-@dataclass(frozen=True)
-class ModePoint:
-    """One demand level in a mode-comparison sweep."""
-
-    theta: float
-    feasible: bool
-    min_snr_db_centralized: float
-    min_snr_db_semi: float
-    gap_db: float
-    messages_centralized: int
-    messages_semi: int
-
-
-@dataclass(frozen=True)
-class ModeComparison:
-    points: tuple
-
-    @property
-    def max_gap_db(self):
-        gaps = [p.gap_db for p in self.points if p.feasible]
-        return max(gaps) if gaps else 0.0
-
-
-def compare_modes(scenario, theta_grid, rf_cap=None):
-    """Sweep a demand grid through both architectures and tabulate gaps.
-
-    The centralized run uses the bisection bias (the reference); the
-    semi-decentralized run is the closed form.  Infeasible points are
-    kept in the table with a flag instead of aborting the sweep.
-    """
-    points = []
-    for theta in np.asarray(theta_grid, dtype=float):
-        try:
-            sol_c, _, trace_c = run_centralized(scenario, float(theta),
-                                                rf_cap=rf_cap, method="bisection")
-            sol_s, _, trace_s = run_semi_decentralized(scenario, float(theta),
-                                                       rf_cap=rf_cap)
-        except InfeasibleError as err:
-            points.append(ModePoint(
-                theta=float(theta), feasible=False,
-                min_snr_db_centralized=-np.inf, min_snr_db_semi=-np.inf,
-                gap_db=np.nan,
-                messages_centralized=len(getattr(err, "trace", [])),
-                messages_semi=0))
-            continue
-        points.append(ModePoint(
-            theta=float(theta), feasible=True,
-            min_snr_db_centralized=sol_c.min_snr_db,
-            min_snr_db_semi=sol_s.min_snr_db,
-            gap_db=abs(sol_c.min_snr_db - sol_s.min_snr_db),
-            messages_centralized=len(trace_c),
-            messages_semi=len(trace_s)))
-    return ModeComparison(points=tuple(points))
 
 
 def replay(trace, scenario):

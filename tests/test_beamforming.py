@@ -6,7 +6,7 @@ from attocell.beamforming import (BeamformingSolution, EhTargets, PsdMatrix,
                                   required_power_linear, solve_aggregate_sdp,
                                   verify_beamforming)
 from attocell.channels import sample_rf_channel
-from attocell.energy import NonlinearEhParams
+from attocell.energy import LinearEhParams, NonlinearEhParams
 from attocell.errors import (DimensionMismatchError, InfeasibleError,
                              SolverStallError, TargetUnreachableError)
 
@@ -36,6 +36,17 @@ def test_eh_targets_validation():
         EhTargets(input_targets=np.array([1e-3, -1e-6]))
     with pytest.raises(ValueError):
         EhTargets(input_targets=np.array([np.inf]))
+
+
+@pytest.mark.parametrize("raw", [[np.nan] * 3, [1e-3, np.nan, 2e-3],
+                                 [1e-3, np.inf, 2e-3], [1e-3, -1e-6, 2e-3]])
+def test_raw_array_targets_validated(raw):
+    rng = np.random.default_rng(3)
+    channels, _ = _random_channels(rng, 3, 4)
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        solve_aggregate_sdp(channels, np.array(raw))
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        required_power_linear(channels, raw, LinearEhParams(efficiency=0.5))
 
 
 def test_psd_matrix_validation():

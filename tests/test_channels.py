@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from attocell.channels import (RfChannelSet, VlcChannelMatrix,
-                               assign_serving_elements, build_vlc_matrix,
+from attocell.channels import (RfChannelSet, VlcChannelMatrix, build_vlc_matrix,
                                concentrator_gain, sample_rf_channel,
                                vlc_channel_gain)
 from attocell.errors import DimensionMismatchError, UnservableDeviceError
 from attocell.geometry import (Device, OpticalTransmitter, Photodetector,
                                RfAccessPoint, build_angle_diversity_layout)
+from attocell.orchestrator import run_semi_decentralized
 
 DEG = np.pi / 180.0
 
@@ -84,18 +84,20 @@ def test_all_gains_nonnegative(vlc_matrix):
     assert np.all(vlc_matrix.gains >= 0.0)
 
 
-def test_serving_assignment_bundled(vlc_matrix):
-    pairs = assign_serving_elements(vlc_matrix)
+def test_serving_assignment_bundled(scenario):
+    _, _, trace = run_semi_decentralized(scenario, 4e-3)
+    pairs = [[m.payload["serving_transmitter"], m.payload["serving_element"]]
+             for m in trace.select("device_summary")]
     # every device is served by the downward element of its nearest cell
-    np.testing.assert_array_equal(
-        pairs, [[0, 0], [1, 0], [2, 0], [3, 0], [0, 0]])
+    assert pairs == [[0, 0], [1, 0], [2, 0], [3, 0], [0, 0]]
 
 
-def test_serving_assignment_unservable():
-    gains = np.zeros((2, 3, 2))
-    gains[:, :, 0] = 1e-3
-    with pytest.raises(UnservableDeviceError):
-        assign_serving_elements(VlcChannelMatrix(gains=gains))
+def test_serving_assignment_unservable(scenario):
+    # a detector at ceiling height faces no element: cos(psi) = 0
+    unlit = Device(position=np.array([0.5, 0.5, 3.0]), detector=_detector())
+    devices = (scenario.devices[0], unlit) + scenario.devices[1:]
+    with pytest.raises(UnservableDeviceError, match="device 1 receives no light"):
+        build_vlc_matrix(scenario.transmitters, devices)
 
 
 def test_matrix_validation():

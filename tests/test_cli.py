@@ -1,8 +1,10 @@
 import csv
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
+import yaml
 
 from attocell.beamforming import solve_aggregate_sdp
 from attocell.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_SOLVER,
@@ -144,3 +146,26 @@ def test_seed_override_changes_rf(tmp_path):
     # the bias side is seed independent; the RF fading draw is not
     assert sa["bias_a"] == sb["bias_a"]
     assert sa["rf_total_power_w"] != sb["rf_total_power_w"]
+
+
+@pytest.fixture
+def unlit_config(tmp_path):
+    cfg = yaml.safe_load(resources.files("attocell").joinpath(
+        "data/default_scenario.yaml").read_text())
+    cfg["devices"][4] = {"position": [0.5, 0.5, 3.0]}  # at ceiling height
+    path = tmp_path / "unlit.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--theta", "4mW", "--mode", "direct"],
+    ["solve", "--theta", "4mW", "--mode", "centralized"],
+    ["solve", "--theta", "4mW", "--mode", "semi"],
+    ["exp", "subopt-gap", "--points", "2"],
+    ["channels", "dump"],
+], ids=["direct", "centralized", "semi", "exp", "dump"])
+def test_unlit_device_is_config_error(tmp_path, capsys, unlit_config, argv):
+    code = main(argv + ["--config", unlit_config, "--out-dir", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "device 4 receives no light" in capsys.readouterr().err

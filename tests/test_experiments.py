@@ -134,12 +134,17 @@ def test_rf_power_zero_level(scenario):
 
 
 def test_subopt_gap_experiment(scenario):
-    res = exp_subopt_gap(scenario, theta_grid=np.array([1e-3, 3e-3, 5e-3]))
+    res = exp_subopt_gap(scenario, theta_grid=np.array([0.0, 2e-3, 4e-3, 6e-3, 8e-3]))
     _assert_provenance(res, scenario)
+    assert res.n_rows == 5
     gaps = np.array(res.columns["gap_db"])
     feas = np.array(res.columns["feasible"], dtype=bool)
+    assert feas.any(), "no feasible demand level in sweep"
     assert np.all(gaps[feas] >= -1e-12)
     assert res.meta["max_gap_db"] <= 0.5
+    central = np.array(res.columns["messages_centralized"])
+    semi = np.array(res.columns["messages_semi"])
+    assert np.all(semi[feas] < central[feas])
 
 
 def test_illuminance_experiment(scenario):

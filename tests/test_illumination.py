@@ -5,7 +5,7 @@ from attocell.illumination import (element_luminous_flux, illuminance_map)
 
 
 def test_element_flux_reference(scenario):
-    # 540 lm/W * 3 * 40 * 2.25 V * 8.5 mA
+    # 90 lm/W * 3 * 40 * 2.25 V * 8.5 mA
     flux = element_luminous_flux(scenario.drive, 8.5e-3, scenario.efficacy)
     assert flux == pytest.approx(206.55, rel=1e-12)
 

@@ -49,6 +49,24 @@ def test_bias_root_frozen(scenario):
     assert cf >= b - 1e-12  # log-linearization never undershoots the root
 
 
+def test_bisection_root_next_to_top_keeps_swing(scenario, vlc_matrix):
+    # the root lies about 1e-8 A below the top, inside the 1e-7 A tolerance;
+    # the top itself has zero swing and so a min SNR of -inf
+    sums = vlc_matrix.gain_sums()
+    knee = min(vlc_harvested_power(scenario.drive, scenario.vlc_eh, s,
+                                   scenario.bias.high) for s in sums)
+    theta = knee * (1 - 1e-6)
+    b = solve_bias_bisection(scenario.drive, scenario.vlc_eh, float(np.min(sums)),
+                             theta, scenario.bias)
+    assert b < scenario.bias.high
+    assert vlc_harvested_power(scenario.drive, scenario.vlc_eh,
+                               float(np.min(sums)), b) >= theta
+    sol = solve_op1(vlc_matrix, scenario.drive, scenario.vlc_eh, scenario.bias,
+                    scenario.noise_power, theta, 0.0)
+    assert sol.feasible and sol.ac_swing > 0.0
+    assert np.isfinite(sol.min_snr_db)
+
+
 def test_bias_target_below_midpoint_harvest(scenario):
     b = solve_bias_bisection(scenario.drive, scenario.vlc_eh, SUMS[3],
                              WORST_MIN_EH * 0.5, scenario.bias)

@@ -6,9 +6,8 @@ import pytest
 from attocell.channels import build_vlc_matrix
 from attocell.errors import InfeasibleError
 from attocell.lightwave import solve_op1
-from attocell.orchestrator import (ControlMessage, TraceLog, compare_modes,
-                                   replay, run_centralized,
-                                   run_semi_decentralized)
+from attocell.orchestrator import (ControlMessage, TraceLog, replay,
+                                   run_centralized, run_semi_decentralized)
 
 THETA = 4e-3
 
@@ -120,17 +119,6 @@ def test_infeasible_attaches_partial_trace(scenario):
     with pytest.raises(InfeasibleError) as exc:
         run_semi_decentralized(scenario, 50e-3)
     assert len(exc.value.trace) == 5
-
-
-def test_compare_modes_sweep(scenario):
-    grid = np.array([0.0, 2e-3, 4e-3, 6e-3, 8e-3])
-    cmp = compare_modes(scenario, grid)
-    assert len(cmp.points) == 5
-    feasible = [p for p in cmp.points if p.feasible]
-    assert feasible, "no feasible demand level in sweep"
-    assert cmp.max_gap_db <= 0.5
-    for p in feasible:
-        assert p.messages_semi < p.messages_centralized
 
 
 def test_control_message_record_shape():
