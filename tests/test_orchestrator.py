@@ -121,6 +121,21 @@ def test_infeasible_attaches_partial_trace(scenario):
     assert len(exc.value.trace) == 5
 
 
+def test_compare_modes_sweep(scenario):
+    grid = np.array([0.0, 2e-3, 4e-3, 6e-3, 8e-3])
+    gaps = []
+    for theta in grid:
+        try:
+            sol_c, _, trace_c = run_centralized(scenario, float(theta))
+            sol_s, _, trace_s = run_semi_decentralized(scenario, float(theta))
+        except InfeasibleError:
+            continue
+        gaps.append(abs(sol_c.min_snr_db - sol_s.min_snr_db))
+        assert len(trace_s) < len(trace_c)
+    assert gaps, "no feasible demand level in sweep"
+    assert max(gaps) <= 0.5
+
+
 def test_control_message_record_shape():
     msg = ControlMessage(sequence=1, sender="device:0", receiver="controller",
                         kind="device_summary", payload={"gain_sum": 0.01})
