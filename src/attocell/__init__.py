@@ -8,7 +8,7 @@ both control architectures as explicit message-passing simulations.
 """
 
 from .channels import (RfChannelSet, VlcChannelMatrix, build_vlc_matrix,
-                       concentrator_gain, sample_rf_channel, vlc_channel_gain)
+                       sample_rf_channel)
 from .energy import (BiasLimits, DriveParams, LinearEhParams, NonlinearEhParams,
                      VlcEhParams, generated_current, linear_eh, nonlinear_eh,
                      nonlinear_eh_inverse, open_circuit_voltage, rf_input_energy,

@@ -274,7 +274,6 @@ class BeamformingSolution:
     delivered: np.ndarray
     rank_one_ratio: float
     aggregate: PsdMatrix
-    iterations: int = 0
 
 
 _RANK_TOL = 1e-9
@@ -302,8 +301,7 @@ def extract_beams(aggregate, channels):
     total = float(sum(np.vdot(bm, bm).real for bm in beams))
     return BeamformingSolution(
         beams=beams, total_power=total, delivered=delivered,
-        rank_one_ratio=ratio, aggregate=aggregate,
-        iterations=aggregate.iterations)
+        rank_one_ratio=ratio, aggregate=aggregate)
 
 
 @dataclass(frozen=True)

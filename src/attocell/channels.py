@@ -1,8 +1,9 @@
 """Optical and RF channel models.
 
 The lightwave link gain follows the generalized Lambertian
-line-of-sight model with an ideal non-imaging concentrator; the RF link
-is Rician fading with distance power-law path loss.
+line-of-sight model with an ideal non-imaging concentrator; the same
+pattern drives the illuminance map.  The RF link is Rician fading with
+distance power-law path loss.
 """
 
 from dataclasses import dataclass
@@ -10,11 +11,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, UnservableDeviceError
-from .geometry import Device, OpticalTransmitter
 
 __all__ = [
-    "concentrator_gain",
-    "vlc_channel_gain",
+    "lambertian_los",
     "VlcChannelMatrix",
     "build_vlc_matrix",
     "RfChannelSet",
@@ -22,41 +21,31 @@ __all__ = [
 ]
 
 
-def concentrator_gain(refractive_index, fov, incidence):
-    """Optical concentrator gain n^2 / sin^2(fov) inside the field of view.
+def lambertian_los(transmitter, points):
+    """Generalized Lambertian line-of-sight pattern of every element.
 
-    Angles in radians; returns 0.0 when ``incidence`` exceeds ``fov``.
+    For points of shape (n, 3) returns ``(pattern, cos_psi)``:
+    pattern[i, k] = (m_i+1) / (2 pi d_k^2) cos^m_i(phi_ik) cos(psi_k) of
+    element i at point k, with psi measured against an upward normal,
+    and cos_psi of shape (n,).  Both cosines are clipped at 0.
     """
-    if incidence > fov:
-        return 0.0
-    return refractive_index**2 / np.sin(fov) ** 2
-
-
-def vlc_channel_gain(transmitter, element_index, device):
-    """Line-of-sight DC gain of one transmitter element at one device.
-
-    h = A (m+1) / (2 pi d^2) cos^m(phi) g(psi) cos(psi) behind an ideal
-    optical filter, zero outside the detector field of view or behind
-    the element.
-    """
-    el = transmitter.elements[element_index]
-    det = device.detector
-    vec = device.position - transmitter.position
-    d = np.linalg.norm(vec)
-    if d <= 0:
-        raise ValueError("device coincides with transmitter")
-    ray = vec / d
-    cos_phi = float(ray @ el.boresight)
-    cos_psi = float(-ray[2])  # detector normal is +z
-    if cos_phi <= 0.0 or cos_psi <= 0.0:
-        return 0.0
-    psi = np.arccos(min(cos_psi, 1.0))
-    g = concentrator_gain(det.refractive_index, det.fov, psi)
-    if g == 0.0:
-        return 0.0
-    m = el.lambert_m
-    return (det.area * (m + 1.0) / (2.0 * np.pi * d * d)
-            * cos_phi**m * g * cos_psi)
+    vec = np.asarray(points, dtype=float) - transmitter.position
+    d = np.linalg.norm(vec, axis=1)
+    if np.any(d <= 0):
+        raise ValueError("point coincides with transmitter")
+    ray = vec / d[:, None]
+    cos_psi = np.maximum(-ray[:, 2], 0.0)
+    bores = np.array([el.boresight for el in transmitter.elements])
+    m = np.array([el.lambert_m for el in transmitter.elements])[:, None]
+    # (elements, points) factors update one buffer in place: on a floor
+    # grid each fresh temporary costs more in page faults than arithmetic
+    pattern = bores @ ray.T  # cos(phi)
+    np.maximum(pattern, 0.0, out=pattern)
+    pattern **= m
+    pattern /= 2.0 * np.pi * d * d
+    pattern *= m + 1.0
+    pattern *= cos_psi
+    return pattern, cos_psi
 
 
 @dataclass(frozen=True)
@@ -78,10 +67,6 @@ class VlcChannelMatrix:
         return self.gains.shape[0]
 
     @property
-    def n_elements(self):
-        return self.gains.shape[1]
-
-    @property
     def n_devices(self):
         return self.gains.shape[2]
 
@@ -95,21 +80,26 @@ class VlcChannelMatrix:
 
 
 def build_vlc_matrix(transmitters, devices):
-    """Evaluate every (transmitter, element, device) line-of-sight gain.
+    """Line-of-sight gain of every (transmitter, element, device) triple.
 
-    Raises UnservableDeviceError naming the first device that receives
-    no light from any element.
+    h = A g(psi) times the Lambertian pattern, where the ideal
+    concentrator gain g is n^2 / sin^2(fov) inside the detector field
+    of view and 0 outside it.  Raises UnservableDeviceError naming the
+    first device that receives no light from any element.
     """
     if not transmitters or not devices:
         raise DimensionMismatchError("need at least one transmitter and one device")
     n_el = len(transmitters[0].elements)
     if any(len(t.elements) != n_el for t in transmitters):
         raise DimensionMismatchError("transmitters must share an element count")
-    gains = np.zeros((len(transmitters), n_el, len(devices)))
+    points = np.array([dev.position for dev in devices])
+    area, fov, n = np.array([(dev.detector.area, dev.detector.fov,
+                              dev.detector.refractive_index) for dev in devices]).T
+    cos_fov, g_fov = np.cos(fov), n**2 / np.sin(fov)**2
+    gains = np.empty((len(transmitters), n_el, len(devices)))
     for o, tx in enumerate(transmitters):
-        for i in range(n_el):
-            for j, dev in enumerate(devices):
-                gains[o, i, j] = vlc_channel_gain(tx, i, dev)
+        pattern, cos_psi = lambertian_los(tx, points)
+        gains[o] = area * pattern * np.where(cos_psi >= cos_fov, g_fov, 0.0)
     unlit = np.flatnonzero(gains.max(axis=(0, 1)) <= 0.0)
     if unlit.size:
         raise UnservableDeviceError(f"device {unlit[0]} receives no light")
@@ -121,21 +111,12 @@ class RfChannelSet:
     """Complex downlink channel vectors, one per device."""
 
     vectors: np.ndarray  # (devices, antennas) complex
-    seed: int
 
     def __post_init__(self):
         v = np.asarray(self.vectors, dtype=complex)
         if v.ndim != 2:
             raise DimensionMismatchError("vectors must be (devices, antennas)")
         object.__setattr__(self, "vectors", v)
-
-    @property
-    def n_devices(self):
-        return self.vectors.shape[0]
-
-    @property
-    def n_antennas(self):
-        return self.vectors.shape[1]
 
     def outer_products(self):
         """Rank-one matrices g g^H used by the beamforming solver."""
@@ -167,4 +148,4 @@ def sample_rf_channel(access_point, devices, rician_factor_db, path_loss_exponen
         scatter = (rng.standard_normal(m) + 1j * rng.standard_normal(m)) / np.sqrt(2.0)
         vectors[j] = np.sqrt(pl) * (np.sqrt(r / (1.0 + r)) * los
                                     + np.sqrt(1.0 / (1.0 + r)) * scatter)
-    return RfChannelSet(vectors=vectors, seed=seed)
+    return RfChannelSet(vectors=vectors)

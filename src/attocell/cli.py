@@ -55,6 +55,7 @@ def _write_result(result, args):
 
 def _cmd_scenario_validate(args):
     sc = _load(args)
+    build_vlc_matrix(sc.transmitters, sc.devices)
     print(f"scenario ok: hash {sc.hash}")
     print(f"  transmitters {len(sc.transmitters)}  "
           f"elements {len(sc.transmitters[0].elements)}  "

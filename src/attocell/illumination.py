@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .channels import lambertian_los
+
 __all__ = [
     "element_luminous_flux",
     "IlluminanceMap",
@@ -46,7 +48,7 @@ class IlluminanceMap:
 def illuminance_map(transmitters, drive, bias, efficacy, room_size, grid_step=0.1):
     """Horizontal illuminance over the floor on a uniform grid.
 
-    E(p) = sum_elements Phi (m+1) / (2 pi d^2) cos^m(phi) cos(psi)
+    E(p) = Phi times the Lambertian pattern summed over every element,
     with psi measured against the upward plane normal.  The grid spans
     the full floor inclusive of both edges, so the room center is a
     node whenever the step divides the side length evenly.
@@ -54,18 +56,8 @@ def illuminance_map(transmitters, drive, bias, efficacy, room_size, grid_step=0.
     lx, ly = room_size[0], room_size[1]
     xs = np.linspace(0.0, lx, int(round(lx / grid_step)) + 1)
     ys = np.linspace(0.0, ly, int(round(ly / grid_step)) + 1)
-    flux = element_luminous_flux(drive, bias, efficacy)
     gx, gy = np.meshgrid(xs, ys)
-    pts = np.stack([gx, gy, np.zeros_like(gx)], axis=-1)
-    values = np.zeros_like(gx)
-    for tx in transmitters:
-        vec = pts - tx.position
-        d = np.linalg.norm(vec, axis=-1)
-        ray = vec / d[..., None]
-        cos_psi = np.clip(-ray[..., 2], 0.0, None)
-        for el in tx.elements:
-            cos_phi = np.clip(ray @ el.boresight, 0.0, None)
-            m = el.lambert_m
-            values += (flux * (m + 1.0) / (2.0 * np.pi * d * d)
-                       * cos_phi**m * cos_psi)
+    pts = np.stack([gx.ravel(), gy.ravel(), np.zeros(gx.size)], axis=-1)
+    values = sum(lambertian_los(tx, pts)[0].sum(axis=0) for tx in transmitters)
+    values = element_luminous_flux(drive, bias, efficacy) * values.reshape(gx.shape)
     return IlluminanceMap(xs=xs, ys=ys, values=values)

@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from attocell.channels import (RfChannelSet, VlcChannelMatrix, build_vlc_matrix,
-                               concentrator_gain, sample_rf_channel,
-                               vlc_channel_gain)
+from attocell.channels import (VlcChannelMatrix, build_vlc_matrix, lambertian_los,
+                               sample_rf_channel)
 from attocell.errors import DimensionMismatchError, UnservableDeviceError
 from attocell.geometry import (Device, OpticalTransmitter, Photodetector,
                                RfAccessPoint, build_angle_diversity_layout)
@@ -29,49 +28,61 @@ def _single_tx(position=(0.0, 0.0, 3.0), semiangle=17 * DEG):
     return OpticalTransmitter(position=np.asarray(position), elements=elements)
 
 
-def test_concentrator_gain_value_and_cutoff():
-    g = concentrator_gain(1.5, 60 * DEG, 10 * DEG)
+def _gains(tx, *positions, detector=None, helper=None):
+    """Gains of the lone element of ``tx`` at each position.
+
+    ``helper``, a second transmitter position, lights devices that ``tx``
+    leaves dark, so the tensor stays servable.
+    """
+    det = detector or _detector()
+    devices = [Device(position=np.asarray(p, dtype=float), detector=det) for p in positions]
+    transmitters = [tx] if helper is None else [tx, _single_tx(helper)]
+    return build_vlc_matrix(transmitters, devices).gains[0, 0]
+
+
+def test_concentrator_value_and_cutoff():
+    # the same spot seen through the concentrator and through a bare detector
+    tx = _single_tx()
+    bare = Photodetector(area=85e-4, fov=np.pi / 2, refractive_index=1.0)
+    inside = (np.tan(10 * DEG), 0.0, 2.0)
+    outside = (np.tan(61 * DEG), 0.0, 2.0)
+    g = _gains(tx, inside)[0] / _gains(tx, inside, detector=bare)[0]
     assert g == pytest.approx(3.0, rel=1e-12)
-    assert concentrator_gain(1.5, 60 * DEG, 61 * DEG) == 0.0
+    assert _gains(tx, outside, helper=(outside[0], 0.0, 3.0))[0] == 0.0
 
 
 def test_nadir_gain_closed_form():
     # straight-down element, device directly underneath: both cosines are 1
     tx = _single_tx()
-    dev = Device(position=np.array([0.0, 0.0, 1.0]), detector=_detector())
     m = tx.elements[0].lambert_m
     expect = 85e-4 * (m + 1) / (2 * np.pi * 4.0) * 3.0
-    assert vlc_channel_gain(tx, 0, dev) == pytest.approx(expect, rel=1e-12)
+    assert _gains(tx, (0.0, 0.0, 1.0))[0] == pytest.approx(expect, rel=1e-12)
 
 
 @given(st.floats(min_value=0.5, max_value=10.0))
 def test_nadir_gain_inverse_square(drop):
     tx = _single_tx()
-    dev = Device(position=np.array([0.0, 0.0, 3.0 - drop]), detector=_detector())
-    ref = vlc_channel_gain(tx, 0, Device(position=np.array([0.0, 0.0, 2.0]),
-                                         detector=_detector()))
-    assert vlc_channel_gain(tx, 0, dev) == pytest.approx(ref / drop**2, rel=1e-9)
+    gain, ref = _gains(tx, (0.0, 0.0, 3.0 - drop), (0.0, 0.0, 2.0))
+    assert gain == pytest.approx(ref / drop**2, rel=1e-9)
 
 
 def test_gain_zero_outside_detector_fov():
     # horizontal offset beyond drop * tan(fov) puts the incidence outside 60 deg
     tx = _single_tx()
-    dev = Device(position=np.array([1.0 * np.tan(61 * DEG), 0.0, 2.0]),
-                 detector=_detector())
-    assert vlc_channel_gain(tx, 0, dev) == 0.0
+    x = 1.0 * np.tan(61 * DEG)
+    assert _gains(tx, (x, 0.0, 2.0), helper=(x, 0.0, 3.0))[0] == 0.0
 
 
 def test_gain_zero_behind_element():
     tx = _single_tx()
-    above = Device(position=np.array([0.0, 0.0, 3.5]), detector=_detector())
-    assert vlc_channel_gain(tx, 0, above) == 0.0
+    pattern, _ = lambertian_los(tx, [[0.0, 0.0, 3.5]])
+    assert pattern[0, 0] == 0.0
 
 
 def test_gain_rejects_coincident_positions():
     tx = _single_tx()
     with pytest.raises(ValueError):
-        vlc_channel_gain(tx, 0, Device(position=np.array([0.0, 0.0, 3.0]),
-                                       detector=_detector()))
+        lambertian_los(tx, [[0.0, 0.0, 3.0]])
 
 
 def test_bundled_layout_gain_summaries(vlc_matrix):

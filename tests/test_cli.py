@@ -164,7 +164,8 @@ def unlit_config(tmp_path):
     ["solve", "--theta", "4mW", "--mode", "semi"],
     ["exp", "subopt-gap", "--points", "2"],
     ["channels", "dump"],
-], ids=["direct", "centralized", "semi", "exp", "dump"])
+    ["scenario", "validate"],
+], ids=["direct", "centralized", "semi", "exp", "dump", "validate"])
 def test_unlit_device_is_config_error(tmp_path, capsys, unlit_config, argv):
     code = main(argv + ["--config", unlit_config, "--out-dir", str(tmp_path / "out")])
     assert code == EXIT_CONFIG

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from attocell.channels import build_vlc_matrix
+from attocell.geometry import Device, Photodetector
 from attocell.illumination import (element_luminous_flux, illuminance_map)
 
 
@@ -59,3 +61,17 @@ def test_total_flux_below_emitted(scenario):
 def test_values_nonnegative(scenario):
     m = _default_map(scenario, step=0.25)
     assert np.all(m.values >= 0.0)
+
+
+def test_gain_tensor_matches_illuminance_map(scenario):
+    # a bare detector (index 1, hemispherical FOV) has concentrator gain 1,
+    # so the summed gain per unit area is the illuminance per unit flux
+    bare = Photodetector(area=1e-4, fov=np.pi / 2, refractive_index=1.0)
+    m = _default_map(scenario, step=0.5)
+    nodes = [(0, 0), (5, 5), (2, 8), (10, 10), (7, 3), (10, 0)]
+    devices = [Device(position=np.array([m.xs[j], m.ys[i], 0.0]), detector=bare)
+               for i, j in nodes]
+    gains = build_vlc_matrix(scenario.transmitters, devices).gains
+    flux = element_luminous_flux(scenario.drive, 8.5e-3, scenario.efficacy)
+    expect = np.array([m.values[i, j] for i, j in nodes]) / flux
+    np.testing.assert_allclose(gains.sum(axis=(0, 1)) / bare.area, expect, rtol=1e-12)
