@@ -24,7 +24,7 @@ from .lightwave import (LightwaveSolution, SubRfOutcome, identify_worst_user,
 from .beamforming import (BeamformingSolution, EhTargets, PsdMatrix,
                           VerificationReport, build_eh_targets, extract_beams,
                           required_power_linear, solve_aggregate_sdp,
-                          verify_beamforming)
+                          solve_aggregate_sdp_batch, verify_beamforming)
 from .numerics import lambert_w0
 from .orchestrator import (ControlMessage, TraceLog, replay, run_centralized,
                            run_semi_decentralized)

@@ -16,6 +16,13 @@ by Mehrotra's predictor rule (SIAM J. Optim. 1992).  Every iterate is
 certified on its optimal face: the eigen-directions of W that outweigh Z,
 scaled until the tightest target is met, against gamma rescaled onto
 lambda_max(sum gamma G) = 1, which lower-bounds tr(W).
+
+The core runs on a stack of B instances that share one target vector,
+as in a Monte-Carlo sweep over fading draws.  Each instance keeps its
+own step lengths, certificate, stop test and stall counter, and leaves
+the stack when it stops, so one instance's failure is its own.
+solve_aggregate_sdp_batch is that entry point, and solve_aggregate_sdp
+is its B = 1 case.
 """
 
 from dataclasses import dataclass, field
@@ -30,6 +37,7 @@ __all__ = [
     "build_eh_targets",
     "PsdMatrix",
     "solve_aggregate_sdp",
+    "solve_aggregate_sdp_batch",
     "BeamformingSolution",
     "extract_beams",
     "VerificationReport",
@@ -102,167 +110,267 @@ def solve_aggregate_sdp(channels, targets, tol=1e-8):
     homogeneous) and the result scaled back, so scaled instances produce
     bitwise-scaled optima.  Channels are normalized by their largest
     power the same way.  Terminates when the certified duality gap of
-    the normalized problem drops below tol * (1 + |objective|).
+    the normalized problem drops below tol * (1 + |objective|).  This is
+    the one-instance case of solve_aggregate_sdp_batch.
+    """
+    result = solve_aggregate_sdp_batch([channels], targets, tol)[0]
+    if isinstance(result, SolverStallError):
+        raise result
+    return result
+
+
+def solve_aggregate_sdp_batch(channel_sets, targets, tol=1e-8):
+    """solve_aggregate_sdp for many channel sets that share one target vector.
+
+    Returns one entry per channel set: its PsdMatrix, or the
+    SolverStallError of that instance alone.  Malformed input (targets,
+    shapes, a channel that is not rank one, a zero channel under a
+    positive target) raises for the whole batch, as in the single solve.
     """
     if not isinstance(targets, EhTargets):
         targets = EhTargets(input_targets=targets)
     b_raw = targets.input_targets
-    gs = [np.asarray(g, dtype=complex) for g in channels]
-    if len(gs) != len(b_raw):
-        raise DimensionMismatchError("one channel matrix per target required")
-    if not gs:
-        raise DimensionMismatchError("need at least one device")
-    m = gs[0].shape[0]
-    if any(g.shape != (m, m) for g in gs):
-        raise DimensionMismatchError("channel matrices must share a shape")
-
-    n_dev = len(b_raw)
-    active = [j for j in range(n_dev) if b_raw[j] > 0.0]
-    duals = np.zeros(n_dev)
-    if not active:
-        return PsdMatrix(entries=np.zeros((m, m), dtype=complex), objective=0.0,
-                         duals=duals, gap=0.0, iterations=0)
-    for j in active:
-        if float(np.trace(gs[j]).real) <= 0.0:
-            raise InfeasibleError(f"device {j} has a zero channel but a positive target")
+    g = _channel_stack(channel_sets, len(b_raw))
+    n_inst, n_dev, m = g.shape[:3]
+    active = np.flatnonzero(b_raw > 0.0)
+    if not n_inst:
+        return []
+    if not active.size:
+        return [PsdMatrix(entries=np.zeros((m, m), dtype=complex), objective=0.0,
+                          duals=np.zeros(n_dev), gap=0.0, iterations=0)
+                for _ in range(n_inst)]
+    zero = np.argwhere(np.trace(g[:, active], axis1=-2, axis2=-1).real <= 0.0)
+    if zero.size:
+        raise InfeasibleError(
+            f"device {active[zero[0, 1]]} has a zero channel but a positive target")
 
     scale = float(np.max(b_raw[active]))
-    b = np.array([b_raw[j] / scale for j in active])
-    g_act = [gs[j] for j in active]
-    try:
-        h = np.stack([_rank_one_factor(g) for g in g_act], axis=1)
-        # channels normalized like the targets, so the stop rule is scale-free
-        h_scale = float(np.max(np.sum(np.abs(h) ** 2, axis=0)))
-        w, gamma, obj, gap, steps = _primal_dual(h / np.sqrt(h_scale), b, tol)
-    except np.linalg.LinAlgError as exc:
-        raise SolverStallError(f"numerical breakdown: {exc}") from exc
-    for idx, j in enumerate(active):
-        duals[j] = gamma[idx] / h_scale  # free of the target scale
-    return PsdMatrix(entries=scale * (w / h_scale), objective=scale * (obj / h_scale),
-                     duals=duals, gap=scale * (gap / h_scale), iterations=steps)
+    b = b_raw[active] / scale
+    results = []
+    for out in _solve_stack(g[:, active], b, tol):
+        if isinstance(out, SolverStallError):
+            results.append(out)
+            continue
+        w, gamma, obj, gap, steps = out
+        duals = np.zeros(n_dev)
+        duals[active] = gamma  # free of the target scale
+        try:
+            results.append(PsdMatrix(entries=scale * w, objective=scale * obj,
+                                     duals=duals, gap=scale * gap, iterations=steps))
+        except ValueError as exc:
+            # a solver output that fails validation is a solver failure
+            err = SolverStallError(f"solver output rejected: {exc}")
+            err.__cause__ = exc
+            results.append(err)
+    return results
 
 
-def _rank_one_factor(g):
-    """The vector h with g = h h^H; rejects g unless rank one to rounding."""
-    vals, vecs = np.linalg.eigh(g)
-    if np.any(np.abs(vals[:-1]) > 1e-9 * vals[-1]):
-        raise ValueError("channel matrix is not rank one")
-    return np.sqrt(vals[-1]) * vecs[:, -1]
+def _channel_stack(channel_sets, n_dev):
+    """The (B, devices, m, m) stack of channel sets, each checked like one set."""
+    sets = [[np.asarray(g, dtype=complex) for g in gs] for gs in channel_sets]
+    for gs in sets:
+        if len(gs) != n_dev:
+            raise DimensionMismatchError("one channel matrix per target required")
+        if not gs:
+            raise DimensionMismatchError("need at least one device")
+    m = sets[0][0].shape[0] if sets else 0
+    if any(g.shape != (m, m) for gs in sets for g in gs):
+        raise DimensionMismatchError("channel matrices must share a shape")
+    return np.array(sets, dtype=complex).reshape(len(sets), n_dev, m, m)
 
 
-def _max_step(li, d):
-    """Largest alpha with L L^H + alpha d PSD, given the inverse li of L."""
-    lam = float(np.linalg.eigvalsh(li @ d @ li.conj().T)[0])
-    return -1.0 / lam if lam < 0.0 else np.inf
+def _solve_stack(g, b, tol):
+    """Per instance of the (B, J, m, m) channel stack ``g``, the optimum
+    (W, duals, objective, gap, steps) for the targets ``b``, or its
+    SolverStallError.
 
-
-def _ratio_step(x, dx):
-    """Largest alpha with x + alpha dx >= 0, for x > 0."""
-    neg = dx < 0.0
-    return float(np.min(-x[neg] / dx[neg])) if np.any(neg) else np.inf
-
-
-def _certify(h, b, w, z, gamma):
-    """(W, duals, objective, gap) for the optimal face of an iterate.
-
-    The face keeps the eigen-directions u of W with lambda(W) > u^H Z u,
-    which strict complementarity separates at the optimum.  It is scaled
-    until the tightest target is met exactly, and gamma is rescaled onto
-    lambda_max(sum gamma G) = 1, where it lower-bounds tr(W).
+    Channels are normalized by their largest power, like the targets,
+    so the stop rule is scale-free; the answer is scaled back.  A
+    stacked linear-algebra routine raises for the whole stack, so on
+    that error path each instance is solved alone, and a breakdown
+    lands on the instance it belongs to.
     """
-    evals, evecs = np.linalg.eigh(w)
-    zq = np.sum(evecs.conj() * (z @ evecs), axis=0).real
-    keep = evals > zq
-    u = evecs[:, keep] * np.sqrt(evals[keep])
-    floor = float(np.min(np.sum(np.abs(u.conj().T @ h) ** 2, axis=0) / b))
-    if floor <= 0.0:
-        return None
-    w_face = u @ u.conj().T / floor
-    w_face = 0.5 * (w_face + w_face.conj().T)
-    lam_max = float(np.linalg.eigvalsh((h * gamma) @ h.conj().T)[-1])
-    cert = gamma * ((1.0 - 1e-12) / lam_max)
-    obj = float(np.trace(w_face).real)
-    return w_face, cert, obj, obj - float(cert @ b)
+    try:
+        vals, vecs = np.linalg.eigh(g)
+        if np.any(np.abs(vals[..., :-1]) > 1e-9 * vals[..., -1:]):
+            raise ValueError("channel matrix is not rank one")
+        # the vectors h_j with G_j = h_j h_j^H, as the columns of H
+        h = (np.sqrt(vals[..., -1])[..., None] * vecs[..., -1]).swapaxes(-1, -2)
+        h_scale = np.max(np.sum(np.abs(h) ** 2, axis=1), axis=1)
+        solved = _primal_dual(h / np.sqrt(h_scale)[:, None, None], b, tol)
+    except np.linalg.LinAlgError as exc:
+        if len(g) > 1:
+            return [out for i in range(len(g)) for out in _solve_stack(g[i:i + 1], b, tol)]
+        err = SolverStallError(f"numerical breakdown: {exc}")
+        err.__cause__ = exc
+        return [err]
+    return [out if isinstance(out, SolverStallError)
+            else (out[0] / hs, out[1] / hs, out[2] / hs, out[3] / hs, out[4])
+            for out, hs in zip(solved, h_scale)]
 
 
-def _stalled(mu_min, best, tol):
-    gap = best[3] if best is not None else np.inf
+def _stalled(mu_min, gap, tol):
     return SolverStallError(
         f"duality measure stalled at {mu_min:.3e} with certified gap "
         f"{gap:.3e}, short of {tol:.1e}*(1+|obj|); tolerance below "
         f"the float64 floor")
 
 
-def _primal_dual(h, b, tol):
-    """Feasible primal-dual interior-point steps over (W, s, gamma).
+def _herm(a):
+    return a.conj().swapaxes(-1, -2)
 
-    Returns the best certificate (W, duals, objective, gap) and the step
-    count.  s_j = h_j^H W h_j - b_j is the primal slack, and
-    tr(W Z) + s.gamma is the duality gap of the iterate.
+
+def _step_length(x, dx):
+    """min(1, 0.95 alpha) per row, alpha the largest step with x + alpha dx >= 0,
+    for x > 0 along the last axis."""
+    return (0.95 * x / np.maximum(-dx, 0.95 * x)).min(axis=-1)
+
+
+def _duality_measure(w, z, sg):
+    """(tr(W Z) + s.gamma) / (m + n) per instance."""
+    m, n = w.shape[-1], sg.shape[-1]
+    return (np.einsum("bij,bij->b", w, z.conj()).real
+            + np.einsum("bj,bj->b", sg[:, 0], sg[:, 1])) / (m + n)
+
+
+def _primal_dual(h, b, tol):
+    """Feasible primal-dual interior-point steps over a stack of instances.
+
+    ``h`` is (B, m, n): each instance's channel vectors, all sharing the
+    targets ``b``.  Every instance keeps its own step lengths,
+    certificate, stop test and stall counter, and leaves the stack when
+    it stops.  Returns, per instance, (W, duals, objective, gap, steps)
+    of its best certificate, or its SolverStallError.
+
+    The iterate is W, the primal slacks s_j = h_j^H W h_j - b_j and the
+    duals gamma (``sg`` holds s and gamma as rows), with Z = I - sum
+    gamma_j G_j; tr(W Z) + s.gamma is its duality gap.  Each iterate is
+    certified on its optimal face: the eigen-directions u of W with
+    lambda(W) > u^H Z u, which strict complementarity separates at the
+    optimum, scaled until the tightest target is met exactly, against
+    gamma rescaled onto lambda_max(sum gamma G) = 1, where it
+    lower-bounds tr(W).
     """
-    m, n = h.shape
-    eye = np.eye(m)
-    power = np.sum(np.abs(h) ** 2, axis=0)
-    c = 2.0 * float(np.max(b / power))
-    w = c * np.eye(m, dtype=complex)
-    s = c * power - b
-    gamma = 0.5 / (n * power)
-    best = None  # smallest certified gap so far
-    mu_min = np.inf
-    stale = 0
+    n_inst, m, n = h.shape
+    results = [None] * n_inst
+    live = np.arange(n_inst)
+    eye_m, eye_n = np.eye(m), np.eye(n)
+    hh = _herm(h)
+    power = (np.abs(h) ** 2).sum(axis=1)
+    c = 2.0 * (b / power).max(axis=1)
+    w = c[:, None, None] * np.eye(m, dtype=complex)
+    sg = np.stack((c[:, None] * power - b, 0.5 / (n * power)), axis=1)
+    # the smallest certified gap so far: face eigenvectors, scaled eigenvalues
+    best_vecs = np.zeros_like(w)
+    best_lam = np.zeros((n_inst, m))
+    best_cert = np.zeros((n_inst, n))
+    best_obj = np.zeros(n_inst)
+    best_gap = np.full(n_inst, np.inf)
+    mu_min = np.full(n_inst, np.inf)
+    stale = np.zeros(n_inst, dtype=int)
     steps = 0
-    while True:
-        z = eye - (h * gamma) @ h.conj().T
+    while live.size:
+        nb = len(live)
+        s, gamma = sg[:, 0], sg[:, 1]
+        gsum = (h * gamma[:, None, :]) @ hh
+        z = eye_m - gsum
         try:
-            lz = np.linalg.cholesky(z)
-            lw = np.linalg.cholesky(w)
+            chol = np.linalg.cholesky(np.concatenate((w, z)))
         except np.linalg.LinAlgError:
-            if steps == 0:
+            # a stack is re-solved one instance at a time by the caller, and a
+            # breakdown at the starting point is reported as such
+            if n_inst > 1 or steps == 0:
                 raise
             # rounding has pushed a late iterate off the cone: no more progress
-            raise _stalled(mu_min, best, tol) from None
-        cand = _certify(h, b, w, z, gamma)
-        if cand is not None and (best is None or cand[3] < best[3]):
-            best = cand
-        if best is not None and best[3] <= tol * (1.0 + abs(best[2])):
-            return (*best, steps)
-        mu = (float(np.trace(w @ z).real) + float(s @ gamma)) / (m + n)
-        if mu < mu_min:
-            mu_min, stale = mu, 0
-        else:
-            stale += 1
-            if stale >= 5:
-                raise _stalled(mu_min, best, tol)
+            return [_stalled(mu_min[0], best_gap[0], tol)]
 
-        lzi = np.linalg.inv(lz)
-        lwi = np.linalg.inv(lw)
-        zinv = lzi.conj().T @ lzi
+        # W's eigenpairs and lambda_max(sum gamma G) in one eigensolve
+        evals, evecs = np.linalg.eigh(np.concatenate((w, gsum)))
+        cert = gamma * ((1.0 - 1e-12) / evals[nb:, -1])[:, None]
+        evals, evecs = evals[:nb], evecs[:nb]
+        zq = (evecs.conj() * (z @ evecs)).sum(axis=1).real
+        face = evals * (evals > zq)
+        floor = ((face[:, None, :] @ np.abs(_herm(evecs) @ h) ** 2)[:, 0] / b).min(axis=1)
+        ok = floor > 0.0
+        lam = face / np.where(ok, floor, 1.0)[:, None]
+        obj = lam.sum(axis=1)
+        gap = obj - cert @ b
+        better = ok & (gap < best_gap)
+        np.copyto(best_vecs, evecs, where=better[:, None, None])
+        np.copyto(best_lam, lam, where=better[:, None])
+        np.copyto(best_cert, cert, where=better[:, None])
+        np.copyto(best_obj, obj, where=better)
+        np.copyto(best_gap, gap, where=better)
+
+        mu = _duality_measure(w, z, sg)
+        done = best_gap <= tol * (1.0 + np.abs(best_obj))
+        improved = mu < mu_min
+        stale = (stale + 1) * ~improved
+        mu_min = np.where(improved, mu, mu_min)
+        stop = done | (stale >= 5)
+        if stop.any():
+            for i in np.flatnonzero(stop):
+                if done[i]:
+                    face_w = (best_vecs[i] * best_lam[i]) @ _herm(best_vecs[i])
+                    results[live[i]] = (0.5 * (face_w + _herm(face_w)), best_cert[i],
+                                        float(best_obj[i]), float(best_gap[i]), steps)
+                else:
+                    results[live[i]] = _stalled(mu_min[i], best_gap[i], tol)
+            keep = ~stop
+            if not keep.any():
+                break
+            nb = int(keep.sum())
+            chol = chol[np.concatenate((keep, keep))]
+            h, hh, w, z, sg, mu, best_vecs, best_lam, best_cert, best_obj, best_gap, \
+                mu_min, stale, live = (a[keep] for a in (
+                    h, hh, w, z, sg, mu, best_vecs, best_lam, best_cert, best_obj,
+                    best_gap, mu_min, stale, live))
+            s, gamma = sg[:, 0], sg[:, 1]
+
+        li = np.linalg.inv(chol)  # inverse Cholesky factors of W, then of Z
+        li_h = _herm(li)
+        zinv = li_h[nb:] @ li[nb:]
         zh = zinv @ h
+        zh_h = _herm(zh)
         wh = w @ h
-        # Schur complement of the HKM direction: one J x J system per step
-        schur = (h.conj().T @ wh * (h.conj().T @ zh).conj()).real + np.diag(s / gamma)
-        d = np.sum(h.conj() * zh, axis=0).real  # diag(H^H Z^-1 H)
+        hzh = hh @ zh
+        # Schur complement of the HKM direction: one J x J system per step.
+        # Its right-hand side b + target (1/gamma - diag(H^H Z^-1 H)) is
+        # affine in the centering target, so one solve serves both steps.
+        s_over_g = s / gamma
+        schur = (hh @ wh * hzh.conj()).real + s_over_g[:, :, None] * eye_n
+        rhs = np.empty((nb, n, 2))
+        rhs[..., 0] = b
+        rhs[..., 1] = 1.0 / gamma - np.einsum("bjj->bj", hzh).real
+        dg_both = np.linalg.solve(schur, rhs)
 
         def direction(target):
-            dg = np.linalg.solve(schur, b - target * d + target / gamma)
-            dz = -(h * dg) @ h.conj().T
-            t = (wh * dg) @ zh.conj().T
-            dw = target * zinv - w + 0.5 * (t + t.conj().T)
-            ds = target / gamma - s - s / gamma * dg
-            a_p = min(1.0, 0.95 * min(_max_step(lwi, dw), _ratio_step(s, ds)))
-            a_d = min(1.0, 0.95 * min(_max_step(lzi, dz), _ratio_step(gamma, dg)))
-            return dw, ds, dg, dz, a_p, a_d
+            """Step and step lengths (primal, dual) for a (B, 1) centering target."""
+            dg = dg_both[..., 0] + target * dg_both[..., 1]
+            dz = -(h * dg[:, None, :]) @ hh
+            t = (wh * dg[:, None, :]) @ zh_h
+            dw = target[:, :, None] * zinv - w + 0.5 * (t + _herm(t))
+            ds = target / gamma - s - s_over_g * dg
+            dsg = np.concatenate((ds[:, None], dg[:, None]), axis=1)
+            # primal and dual boundaries in one eigensolve: W + a dW stays PSD
+            # while 1 + a lambda_min(L^-1 dW L^-H) >= 0, and the step taken
+            # is min(1, 0.95 a) of the largest such a
+            lam_min = np.linalg.eigvalsh(li @ np.concatenate((dw, dz)) @ li_h)[:, 0]
+            cone = 0.95 / np.maximum(-lam_min, 0.95)
+            step = np.minimum(cone.reshape(2, nb).T, _step_length(sg, dsg))
+            return dw, dz, dsg, step
 
         # Mehrotra: the affine step's progress sets the centering weight
-        dw, ds, dg, dz, a_p, a_d = direction(0.0)
-        mu_aff = (float(np.trace((w + a_p * dw) @ (z + a_d * dz)).real)
-                  + float((s + a_p * ds) @ (gamma + a_d * dg))) / (m + n)
-        dw, ds, dg, _, a_p, a_d = direction((mu_aff / mu) ** 3 * mu)
-        w = w + a_p * dw
-        w = 0.5 * (w + w.conj().T)
-        s = s + a_p * ds
-        gamma = gamma + a_d * dg
+        dw, dz, dsg, step = direction(np.zeros((nb, 1)))
+        mu_aff = _duality_measure(w + step[:, 0, None, None] * dw,
+                                  z + step[:, 1, None, None] * dz,
+                                  sg + step[:, :, None] * dsg)
+        dw, _, dsg, step = direction(((mu_aff / mu) ** 3 * mu)[:, None])
+        w = w + step[:, 0, None, None] * dw
+        w = 0.5 * (w + _herm(w))
+        sg = sg + step[:, :, None] * dsg
         steps += 1
+    return results
 
 
 @dataclass(frozen=True)

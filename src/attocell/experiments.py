@@ -13,7 +13,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .beamforming import build_eh_targets, required_power_linear, solve_aggregate_sdp
+from .beamforming import EhTargets, build_eh_targets, solve_aggregate_sdp_batch
+# unused here, but bench/tracing.py binds both names on this module
+from .beamforming import required_power_linear, solve_aggregate_sdp  # noqa: F401
 from .channels import build_vlc_matrix, sample_rf_channel
 from .energy import vlc_harvested_power, vlc_snr_db
 from .errors import InfeasibleError, SolverStallError, TargetUnreachableError
@@ -183,7 +185,9 @@ def exp_rf_power(scenario, rf_levels=None, trials=100, theta=4e-3):
     device; the optimized allocation takes the per-device split from the
     bias solver run with the level as the cap (flagged infeasible when
     the demand cannot be covered).  Rician draws are reseeded per trial
-    from the scenario seed so the table is reproducible.
+    from the scenario seed so the table is reproducible.  Each distinct
+    normalised SDP target is solved once per draw, in one batch over the
+    draws, and shared by every row whose targets it scales to.
     """
     if rf_levels is None:
         rf_levels = DEFAULT_RF_LEVELS
@@ -201,40 +205,47 @@ def exp_rf_power(scenario, rf_levels=None, trials=100, theta=4e-3):
             plans.append((float(level), model, "uniform", uniform))
             plans.append((float(level), model, "optimal", optimal))
 
+    channels = [sample_rf_channel(scenario.rf_ap, scenario.devices,
+                                  scenario.rician_factor_db,
+                                  scenario.path_loss_exponent,
+                                  scenario.seed ^ trial).outer_products()
+                for trial in range(trials)]
+
+    # Each row's SDP targets b, built once.  The problem is positively
+    # homogeneous, so rows with equal b / max b share one batched solve
+    # over the draws, and a row's power is max b times its objective.
+    targets = []
+    problems = {}
+    for level, model, allocation, harvest in plans:
+        if harvest is None:
+            targets.append(None)
+            continue
+        try:
+            b = (build_eh_targets(harvest, scenario.rf_nonlinear) if model == "nonlinear"
+                 else EhTargets(input_targets=harvest / xi)).input_targets
+        except TargetUnreachableError:
+            b = None  # the rectifier cannot deliver it in any draw
+        targets.append(b)
+        if b is not None and b.max() > 0.0:
+            problems.setdefault((b / b.max()).tobytes(), b / b.max())
+    solved = {key: solve_aggregate_sdp_batch(channels, b) for key, b in problems.items()}
+
     cols = {"rf_level_w": [], "model": [], "allocation": [], "feasible": [],
             "mean_power_w": [], "trials_ok": [], "solver_failures": []}
-    channels = []
-    for trial in range(trials):
-        rf = sample_rf_channel(scenario.rf_ap, scenario.devices,
-                               scenario.rician_factor_db,
-                               scenario.path_loss_exponent,
-                               scenario.seed ^ trial)
-        channels.append(rf.outer_products())
-
-    for level, model, allocation, harvest in plans:
+    for (level, model, allocation, harvest), b in zip(plans, targets):
         cols["rf_level_w"].append(level)
         cols["model"].append(model)
         cols["allocation"].append(allocation)
-        if harvest is None:
-            cols["feasible"].append(False)
-            cols["mean_power_w"].append(np.nan)
-            cols["trials_ok"].append(0)
-            cols["solver_failures"].append(0)
-            continue
-        powers = []
-        failures = 0
-        for ch in channels:
-            try:
-                if model == "nonlinear":
-                    targets = build_eh_targets(harvest, scenario.rf_nonlinear)
-                    agg = solve_aggregate_sdp(ch, targets)
-                    powers.append(agg.objective)
-                else:
-                    powers.append(required_power_linear(
-                        ch, harvest, scenario.rf_linear))
-            except (SolverStallError, TargetUnreachableError):
-                failures += 1
-        cols["feasible"].append(True)
+        cols["feasible"].append(harvest is not None)
+        if b is None:
+            powers = []
+        elif b.max() > 0.0:
+            powers = [b.max() * agg.objective
+                      for agg in solved[(b / b.max()).tobytes()]
+                      if not isinstance(agg, SolverStallError)]
+        else:
+            powers = [0.0] * trials
+        failures = 0 if harvest is None else trials - len(powers)
         cols["mean_power_w"].append(float(np.mean(powers)) if powers else np.nan)
         cols["trials_ok"].append(len(powers))
         cols["solver_failures"].append(failures)

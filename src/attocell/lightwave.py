@@ -56,13 +56,17 @@ def solve_subrf(theta, max_light_eh, min_light_eh, rf_cap):
     midpoint, the swing-maximizing point).  RF makes up the difference
     but may not exceed ``rf_cap``.  The split that maximizes the swing
     uses as little bias as possible: RF gets min(theta - min_light_eh,
-    rf_cap), clamped at zero.
+    rf_cap), clamped at zero.  The light target is formed directly, not
+    as theta - rf, since theta - (theta - x) need not round back to x:
+    when RF covers the whole deficit the light side gets exactly
+    ``min_light_eh``, which the midpoint bias meets.
     """
     slack = rf_cap - (theta - max_light_eh)
     if slack < 0:
         return SubRfOutcome(feasible=False, rf_target=0.0, vlc_target=theta, slack=slack)
     rf = min(max(theta - min_light_eh, 0.0), rf_cap)
-    return SubRfOutcome(feasible=True, rf_target=rf, vlc_target=theta - rf, slack=slack)
+    vlc = min(theta, max(theta - rf_cap, min_light_eh))
+    return SubRfOutcome(feasible=True, rf_target=rf, vlc_target=vlc, slack=slack)
 
 
 def solve_bias_bisection(drive, eh_params, gain_sum, target, bias_limits, tol=1e-7):

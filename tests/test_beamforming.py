@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+import attocell.beamforming as beamforming
 from attocell.beamforming import (BeamformingSolution, EhTargets, PsdMatrix,
                                   build_eh_targets, extract_beams,
                                   required_power_linear, solve_aggregate_sdp,
-                                  verify_beamforming)
+                                  solve_aggregate_sdp_batch, verify_beamforming)
 from attocell.channels import sample_rf_channel
 from attocell.energy import LinearEhParams, NonlinearEhParams
 from attocell.errors import (DimensionMismatchError, InfeasibleError,
@@ -235,3 +236,125 @@ def test_linear_baseline_scales_targets():
     p = required_power_linear(channels, rf, lin)
     direct = solve_aggregate_sdp(channels, rf / 0.5)
     assert p == pytest.approx(direct.objective, rel=1e-9)
+
+
+def _rng717_sets(count, n_ant=6, n_dev=5):
+    # 6-antenna, 5-device draws of the c07 family's generator, one shared target
+    rng = np.random.default_rng(717)
+    sets = [_random_channels(rng, n_dev, n_ant)[0] for _ in range(count)]
+    return sets, rng.uniform(0.5e-3, 8e-3, n_dev)
+
+
+def _assert_matches_single(batch, sets, b):
+    for k, (agg, channels) in enumerate(zip(batch, sets)):
+        single = solve_aggregate_sdp(channels, b)
+        assert isinstance(agg, PsdMatrix), f"instance {k}: {agg}"
+        assert agg.gap_relative <= 1e-7
+        assert abs(agg.objective - single.objective) <= agg.gap + single.gap, f"instance {k}"
+
+
+def test_batch_matches_single_solves_rng717():
+    sets, b = _rng717_sets(12)
+    _assert_matches_single(solve_aggregate_sdp_batch(sets, b), sets, b)
+
+
+def test_batch_matches_single_solves_across_channel_scales():
+    rng = np.random.default_rng(3)
+    _, vecs = _random_channels(rng, 4, 5)
+    b = rng.uniform(1e-3, 5e-3, 4)
+    scales = [1.0, 1e-8, 1e-4, 1e-3, 1e3, 1e8]
+    sets = [[np.outer(c * v, (c * v).conj()) for v in vecs] for c in scales]
+    batch = solve_aggregate_sdp_batch(sets, b)
+    _assert_matches_single(batch, sets, b)
+    for c, agg in zip(scales, batch):
+        assert abs(agg.objective * c**2 - batch[0].objective) <= (agg.gap * c**2
+                                                                 + batch[0].gap)
+
+
+def test_batch_of_one_equals_single_solve():
+    sets, b = _rng717_sets(1)
+    (agg,) = solve_aggregate_sdp_batch(sets, b)
+    single = solve_aggregate_sdp(sets[0], b)
+    np.testing.assert_array_equal(agg.entries, single.entries)
+    np.testing.assert_array_equal(agg.duals, single.duals)
+    assert (agg.objective, agg.gap, agg.iterations) == (
+        single.objective, single.gap, single.iterations)
+
+
+def test_batch_breakdown_fails_its_instance_alone():
+    sets, b = _rng717_sets(4)
+    sets[2] = [g.copy() for g in sets[2]]
+    sets[2][1][0, 0] = np.nan  # its eigensolve cannot converge
+    batch = solve_aggregate_sdp_batch(sets, b)
+    assert isinstance(batch[2], SolverStallError)
+    assert "numerical breakdown" in str(batch[2])
+    for k in (0, 1, 3):
+        assert batch[k].gap_relative <= 1e-7
+    with pytest.raises(SolverStallError, match="numerical breakdown"):
+        solve_aggregate_sdp(sets[2], b)
+
+
+def test_batch_late_breakdown_fails_its_instance_alone(monkeypatch):
+    # instance 1 has one device 1e-8 weaker than the rest, so its normalized
+    # W has a trace far above the others'; the injected Cholesky failure hits
+    # that W once it leaves the diagonal starting point
+    sets, b = _rng717_sets(3)
+    vecs = [np.linalg.eigh(g)[1][:, -1] * np.sqrt(np.trace(g).real) for g in sets[1]]
+    vecs[0] = vecs[0] * 1e-4
+    sets[1] = [np.outer(v, v.conj()) for v in vecs]
+    cholesky = np.linalg.cholesky
+
+    def flaky(a):
+        diag = np.einsum("...ii->...i", a)[..., None] * np.eye(a.shape[-1])
+        off_diagonal = np.abs(a - diag).max(axis=(-2, -1)) > 0.0
+        if np.any(off_diagonal & (diag.real.sum(axis=(-2, -1)) > 1e6)):
+            raise np.linalg.LinAlgError("injected breakdown")
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", flaky)
+    batch = solve_aggregate_sdp_batch(sets, b)
+    assert isinstance(batch[1], SolverStallError)
+    assert "certified gap" in str(batch[1])
+    for k in (0, 2):
+        assert batch[k].gap_relative <= 1e-7
+
+
+def _corrupt_instance(monkeypatch, index):
+    # the core hands back a non-Hermitian W for one instance of every stack
+    core = beamforming._primal_dual
+
+    def corrupted(h, b, tol):
+        out = core(h, b, tol)
+        w = out[index][0].copy()
+        w[0, 1] += 1.0
+        out[index] = (w, *out[index][1:])
+        return out
+
+    monkeypatch.setattr(beamforming, "_primal_dual", corrupted)
+
+
+def test_rejected_solver_output_is_a_stall(monkeypatch):
+    sets, b = _rng717_sets(3)
+    _corrupt_instance(monkeypatch, 1)
+    batch = solve_aggregate_sdp_batch(sets, b)
+    assert isinstance(batch[1], SolverStallError)
+    assert "not Hermitian" in str(batch[1])
+    assert all(isinstance(batch[k], PsdMatrix) for k in (0, 2))
+    monkeypatch.undo()
+    _corrupt_instance(monkeypatch, 0)
+    with pytest.raises(SolverStallError, match="not Hermitian"):
+        solve_aggregate_sdp(sets[0], b)
+
+
+def test_batch_validates_like_single_solve():
+    sets, b = _rng717_sets(2)
+    assert solve_aggregate_sdp_batch([], b) == []
+    zero = [sets[0], [np.zeros((6, 6), dtype=complex)] + sets[1][1:]]
+    with pytest.raises(InfeasibleError, match="device 0"):
+        solve_aggregate_sdp_batch(zero, b)
+    with pytest.raises(DimensionMismatchError):
+        solve_aggregate_sdp_batch([sets[0], sets[1][:4]], b)
+    with pytest.raises(DimensionMismatchError):
+        solve_aggregate_sdp_batch([sets[0], [g[:5, :5] for g in sets[1]]], b)
+    idle = solve_aggregate_sdp_batch(sets, np.zeros(5))
+    assert [agg.objective for agg in idle] == [0.0, 0.0]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import yaml
 
+import attocell.beamforming as beamforming
 from attocell.beamforming import solve_aggregate_sdp
 from attocell.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_SOLVER,
                           main)
@@ -89,6 +90,23 @@ def test_numerical_breakdown_is_solver_failure(tmp_path, monkeypatch, routine):
         solve_aggregate_sdp([g], np.array([1e-3]))
     code = main(["solve", "--theta", "4mW", "--out-dir", str(tmp_path)])
     assert code == EXIT_SOLVER
+
+
+def test_rejected_solver_output_is_solver_failure(tmp_path, monkeypatch):
+    # a non-Hermitian W from the core fails PsdMatrix validation: exit 4, not 2
+    core = beamforming._primal_dual
+
+    def corrupted(h, b, tol):
+        out = core(h, b, tol)
+        w = out[0][0].copy()
+        w[0, 1] += 1.0
+        return [(w, *out[0][1:])] + out[1:]
+
+    monkeypatch.setattr(beamforming, "_primal_dual", corrupted)
+    for mode in ("direct", "centralized"):
+        code = main(["solve", "--theta", "4mW", "--mode", mode,
+                     "--out-dir", str(tmp_path)])
+        assert code == EXIT_SOLVER
 
 
 def test_solve_bad_theta_string(tmp_path):

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from attocell.errors import InfeasibleError
+import attocell.experiments as experiments
+from attocell.beamforming import solve_aggregate_sdp_batch
+from attocell.errors import InfeasibleError, SolverStallError
 from attocell.experiments import (ExperimentResult, exp_eh_allocation,
                                   exp_feasibility_vs_theta, exp_illuminance,
                                   exp_rf_power, exp_snr_eh_region,
@@ -131,6 +133,69 @@ def test_rf_power_zero_level(scenario):
     res = exp_rf_power(scenario, rf_levels=[0.0], trials=3, theta=1e-3)
     mean = np.array(res.columns["mean_power_w"])
     assert np.all(mean == 0.0)
+
+
+def _count_batches(monkeypatch, inject=None):
+    # record (normalized targets, instances) of every batched SDP call
+    calls = []
+
+    def counted(channel_sets, targets, tol=1e-8):
+        b = np.asarray(targets, dtype=float)
+        calls.append((b, len(channel_sets)))
+        out = solve_aggregate_sdp_batch(channel_sets, targets, tol)
+        return inject(b, out) if inject else out
+
+    monkeypatch.setattr(experiments, "solve_aggregate_sdp_batch", counted)
+    return calls
+
+
+def test_rf_power_solves_each_normalized_problem_once(scenario, monkeypatch):
+    calls = _count_batches(monkeypatch)
+    res = exp_rf_power(scenario, trials=3)
+    # one uniform problem (b = 1 at every level and model), the linear and
+    # nonlinear optimal rows at 2 mW, and those at 4 mW, which the 6 mW rows
+    # repeat; the two 0 mW uniform rows are all-zero and make no call
+    assert [n for _, n in calls] == [3] * 5
+    assert all(b.max() == 1.0 for b, _ in calls)
+    assert len({b.tobytes() for b, _ in calls}) == 5
+    idle = ((np.array(res.columns["rf_level_w"]) == 0.0)
+            & (np.array(res.columns["allocation"]) == "uniform"))
+    assert idle.sum() == 2
+    assert np.all(np.array(res.columns["mean_power_w"])[idle] == 0.0)
+    assert np.all(np.array(res.columns["trials_ok"])[idle] == 3)
+
+
+def test_rf_power_stall_fails_its_draw_in_every_sharing_row(scenario, monkeypatch):
+    def stall_draw_1_of_uniform(b, out):
+        if np.all(b == 1.0):
+            out[1] = SolverStallError("injected")
+        return out
+
+    _count_batches(monkeypatch, stall_draw_1_of_uniform)
+    res = exp_rf_power(scenario, trials=3)
+    uniform = ((np.array(res.columns["allocation"]) == "uniform")
+               & (np.array(res.columns["rf_level_w"]) > 0.0))
+    fails = np.array(res.columns["solver_failures"])
+    ok = np.array(res.columns["trials_ok"])
+    assert uniform.sum() == 6
+    assert np.all(fails[uniform] == 1) and np.all(ok[uniform] == 2)
+    assert np.all(fails[~uniform] == 0)
+
+
+def test_rf_power_counts_rejected_solver_output(scenario, monkeypatch):
+    import attocell.beamforming as beamforming
+    core = beamforming._primal_dual
+
+    def corrupted(h, b, tol):
+        out = core(h, b, tol)
+        w = out[0][0].copy()
+        w[0, 1] += 1.0
+        return [(w, *out[0][1:])] + out[1:]
+
+    monkeypatch.setattr(beamforming, "_primal_dual", corrupted)
+    res = exp_rf_power(scenario, rf_levels=[2e-3], trials=2)
+    assert res.columns["solver_failures"] == [1, 1, 1, 1]
+    assert res.columns["trials_ok"] == [1, 1, 1, 1]
 
 
 def test_subopt_gap_experiment(scenario):

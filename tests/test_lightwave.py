@@ -196,3 +196,23 @@ def test_snr_decreases_with_demand(scenario):
     snrs = [_solve_default(scenario, th).min_snr_db
             for th in (1e-3, 3e-3, 5e-3, 7e-3)]
     assert all(a >= b - 1e-12 for a, b in zip(snrs, snrs[1:]))
+
+
+@pytest.mark.parametrize("theta", np.linspace(0.0, 8e-3, 20)[[13, 14]])
+def test_bisection_not_below_closed_form_when_rf_covers_deficit(scenario, vlc_matrix,
+                                                                theta):
+    # at theta 5.47 and 5.89 mW RF covers the worst user's whole deficit,
+    # so its light target is exactly the midpoint harvest; forming it as
+    # theta - (theta - x) once rounded above x and cost bisection a bias step
+    args = (vlc_matrix, scenario.drive, scenario.vlc_eh, scenario.bias,
+            scenario.noise_power, float(theta), scenario.rf_exposure_cap)
+    bis = solve_op1(*args, method="bisection")
+    cf = solve_op1(*args, method="closed_form")
+    assert bis.bias == scenario.bias.midpoint
+    assert bis.min_snr_db >= cf.min_snr_db
+
+
+def test_subrf_light_target_exact_when_rf_covers_deficit():
+    theta = np.linspace(0.0, 8e-3, 20)[13]
+    out = solve_subrf(theta, WORST_MAX_EH, WORST_MIN_EH, 5e-3)
+    assert out.vlc_target == WORST_MIN_EH
