@@ -15,14 +15,14 @@ from attocell.experiments import (exp_eh_allocation, exp_feasibility_vs_theta,
 from attocell.scenario import default_scenario, load_scenario
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", default=None, help="scenario YAML (default: bundled)")
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--out-dir", default="results")
     ap.add_argument("--trials", type=int, default=100,
                     help="Monte-Carlo draws for the RF power sweep")
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     if args.config:
         sc = load_scenario(args.config, seed=args.seed)

@@ -12,15 +12,17 @@ import sys
 
 import numpy as np
 
-from .beamforming import build_eh_targets, extract_beams, solve_aggregate_sdp
+# unused here, but bench/tracing.py binds these names on this module
+from .beamforming import build_eh_targets, extract_beams, solve_aggregate_sdp  # noqa: F401
 from .channels import build_vlc_matrix, sample_rf_channel
 from .errors import (InfeasibleError, ScenarioError, SolverStallError,
                      TargetUnreachableError, UnservableDeviceError)
 from .experiments import (ExperimentResult, exp_eh_allocation,
                           exp_feasibility_vs_theta, exp_illuminance,
-                          exp_rf_power, exp_snr_eh_region, exp_subopt_gap)
+                          exp_rf_power, exp_snr_eh_region, exp_subopt_gap,
+                          gap_theta_grid)
 from .lightwave import solve_op1
-from .orchestrator import run_centralized, run_semi_decentralized
+from .orchestrator import ap_solve, run_centralized, run_semi_decentralized
 from .scenario import default_scenario, load_scenario, parse_quantity
 
 EXIT_OK = 0
@@ -113,23 +115,11 @@ def _cmd_solve(args):
         matrix = build_vlc_matrix(sc.transmitters, sc.devices)
         sol = solve_op1(matrix, sc.drive, sc.vlc_eh, sc.bias, sc.noise_power,
                         theta, rf_cap, method=args.method)
-        if not sol.feasible:
-            print(f"infeasible: theta {theta:g} W exceeds reach under "
-                  f"cap {rf_cap:g} W", file=sys.stderr)
-            return EXIT_INFEASIBLE
-        rf = sample_rf_channel(sc.rf_ap, sc.devices, sc.rician_factor_db,
-                               sc.path_loss_exponent, sc.seed)
-        channels = rf.outer_products()
-        targets = build_eh_targets(sol.rf_targets, sc.rf_nonlinear)
-        beams = extract_beams(solve_aggregate_sdp(channels, targets), channels)
-        trace = None
+        beams, trace = ap_solve(sc, sol), None
+    elif args.mode == "centralized":
+        sol, beams, trace = run_centralized(sc, theta, rf_cap, args.method)
     else:
-        runner = (run_centralized if args.mode == "centralized"
-                  else run_semi_decentralized)
-        kwargs = {"rf_cap": rf_cap}
-        if args.mode == "centralized":
-            kwargs["method"] = args.method
-        sol, beams, trace = runner(sc, theta, **kwargs)
+        sol, beams, trace = run_semi_decentralized(sc, theta, rf_cap)
 
     print(f"bias {sol.bias*1e3:.6f} mA  swing {sol.ac_swing*1e3:.6f} mA  "
           f"min SNR {sol.min_snr_db:.3f} dB  worst user {sol.worst_user}")
@@ -151,25 +141,31 @@ def _cmd_solve(args):
     return EXIT_OK
 
 
+# experiment -> (runner, {option: (runner keyword, option string -> argument)});
+# an option not given is not passed, so the runner's default applies
+_EXPERIMENTS = {
+    "snr-eh-region": (exp_snr_eh_region, {"points": ("n_points", int)}),
+    "feasibility": (exp_feasibility_vs_theta, {}),
+    "eh-allocation": (exp_eh_allocation, {"theta": ("theta", parse_quantity),
+                                          "theta_rf": ("rf_cap", parse_quantity)}),
+    "rf-power": (exp_rf_power, {"theta": ("theta", parse_quantity),
+                                "trials": ("trials", int)}),
+    "subopt-gap": (exp_subopt_gap,
+                   {"points": ("theta_grid", lambda s: gap_theta_grid(int(s)))}),
+    "illuminance": (exp_illuminance, {"bias": ("bias", parse_quantity)}),
+}
+_EXP_OPTIONS = tuple(dict.fromkeys(key for _, opts in _EXPERIMENTS.values() for key in opts))
+
+
 def _cmd_exp(args):
-    sc = _load(args)
-    if args.experiment == "snr-eh-region":
-        result = exp_snr_eh_region(sc, n_points=args.points)
-    elif args.experiment == "feasibility":
-        result = exp_feasibility_vs_theta(sc)
-    elif args.experiment == "eh-allocation":
-        result = exp_eh_allocation(sc, theta=parse_quantity(args.theta),
-                                   rf_cap=parse_quantity(args.theta_rf))
-    elif args.experiment == "rf-power":
-        result = exp_rf_power(sc, trials=args.trials,
-                              theta=parse_quantity(args.theta))
-    elif args.experiment == "subopt-gap":
-        grid = np.linspace(0.0, 8e-3, args.points)
-        result = exp_subopt_gap(sc, theta_grid=grid)
-    elif args.experiment == "illuminance":
-        result = exp_illuminance(sc, bias=parse_quantity(args.bias))
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(args.experiment)
+    runner, options = _EXPERIMENTS[args.experiment]
+    given = {key: value for key, value in vars(args).items() if key in _EXP_OPTIONS}
+    unread = sorted(given.keys() - options.keys())
+    if unread:
+        raise ValueError(f"exp {args.experiment} does not read " +
+                         ", ".join("--" + key.replace("_", "-") for key in unread))
+    result = runner(_load(args), **{options[key][0]: options[key][1](value)
+                                    for key, value in given.items()})
     path = _write_result(result, args)
     summary = " ".join(f"{k}={v}" for k, v in sorted(result.meta.items())
                        if isinstance(v, (int, float, str)))
@@ -209,15 +205,11 @@ def build_parser():
     p_solve.set_defaults(func=_cmd_solve)
 
     p_exp = sub.add_parser("exp", help="run a sweep experiment")
-    p_exp.add_argument("experiment",
-                       choices=("snr-eh-region", "feasibility",
-                                "eh-allocation", "rf-power", "subopt-gap",
-                                "illuminance"))
-    p_exp.add_argument("--theta", default="4mW")
-    p_exp.add_argument("--theta-rf", default="5mW")
-    p_exp.add_argument("--trials", type=int, default=100)
-    p_exp.add_argument("--points", type=int, default=None)
-    p_exp.add_argument("--bias", default="8.5mA")
+    p_exp.add_argument("experiment", choices=tuple(_EXPERIMENTS))
+    for key in _EXP_OPTIONS:
+        readers = ", ".join(name for name, (_, opts) in _EXPERIMENTS.items() if key in opts)
+        p_exp.add_argument("--" + key.replace("_", "-"), default=argparse.SUPPRESS,
+                           help=f"read by {readers} only; default: the experiment's own")
     _add_common(p_exp)
     p_exp.set_defaults(func=_cmd_exp)
     return parser
@@ -226,8 +218,6 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "points", None) is None:
-        args.points = 201 if getattr(args, "experiment", "") == "snr-eh-region" else 20
     try:
         return args.func(args)
     except (ScenarioError, UnservableDeviceError, ValueError) as exc:

@@ -30,6 +30,7 @@ __all__ = [
     "exp_eh_allocation",
     "exp_rf_power",
     "exp_subopt_gap",
+    "gap_theta_grid",
     "exp_illuminance",
 ]
 
@@ -258,6 +259,11 @@ def exp_rf_power(scenario, rf_levels=None, trials=100, theta=4e-3):
               "linear_efficiency": xi})
 
 
+def gap_theta_grid(n_points=20):
+    """The subopt-gap demand sweep: ``n_points`` demands evenly over 0-8 mW."""
+    return np.linspace(0.0, 8e-3, n_points)
+
+
 def exp_subopt_gap(scenario, theta_grid=None):
     """Optimal-vs-closed-form min SNR and message counts across a demand sweep.
 
@@ -266,7 +272,7 @@ def exp_subopt_gap(scenario, theta_grid=None):
     stays in the table as a flagged row instead of aborting the sweep.
     """
     if theta_grid is None:
-        theta_grid = np.linspace(0.0, 8e-3, 20)
+        theta_grid = gap_theta_grid()
     cols = {"theta_w": [], "feasible": [], "min_snr_db_bisection": [],
             "min_snr_db_closed_form": [], "gap_db": [],
             "messages_centralized": [], "messages_semi": []}

@@ -138,6 +138,7 @@ class LightwaveSolution:
     theta: float
     rf_cap: float
     fallback_used: bool = False
+    light_target: float = np.nan  # light harvest the bias was solved for, W
 
 
 def _infeasible(theta, rf_cap, n_dev, worst, method):
@@ -186,7 +187,7 @@ def solve_op1_from_gains(serving_gains, gain_sums, drive, vlc_eh, bias_limits,
         raw = theta - harvests
         if np.any(raw > rf_cap):
             return "cap_violated"
-        return bias, harvests, np.clip(raw, 0.0, rf_cap)
+        return bias, harvests, np.clip(raw, 0.0, rf_cap), sub.vlc_target
 
     worst = identify_worst_user(serving)
     fallback_used = False
@@ -200,7 +201,7 @@ def solve_op1_from_gains(serving_gains, gain_sums, drive, vlc_eh, bias_limits,
     if result is None or result == "cap_violated":
         return _infeasible(theta, rf_cap, n_dev, worst, method)
 
-    bias, harvests, rf_targets = result
+    bias, harvests, rf_targets, light_target = result
     swing = bias_limits.swing_at(bias)
     snrs = np.array([vlc_snr(drive, g, swing, noise_power) for g in serving])
     min_idx = int(np.argmin(snrs))
@@ -209,7 +210,8 @@ def solve_op1_from_gains(serving_gains, gain_sums, drive, vlc_eh, bias_limits,
         rf_targets=rf_targets, light_harvests=harvests,
         worst_user=worst, min_snr=float(snrs[min_idx]),
         min_snr_db=float(vlc_snr_db(drive, serving[min_idx], swing, noise_power)),
-        method=method, theta=theta, rf_cap=rf_cap, fallback_used=fallback_used)
+        method=method, theta=theta, rf_cap=rf_cap, fallback_used=fallback_used,
+        light_target=float(light_target))
 
 
 def solve_op1(matrix, drive, vlc_eh, bias_limits, noise_power, theta, rf_cap,

@@ -6,15 +6,19 @@ bias to the cells and the harvest targets to the RF access point.
 
 Semi-decentralized: devices upload two scalars each (serving gain and
 gain sum), the control unit solves only the RF/light split for the
-worst-off device and broadcasts that device's numbers; every cell then
-recovers the bias locally through the closed form, one designated cell
-reports it back, and the control unit forwards per-device harvest
-targets to the access point.
+worst-off device and broadcasts that device's gain sum and light
+target; every cell then recovers the bias locally through the closed
+form, one designated cell reports it back, and the control unit
+forwards per-device harvest targets to the access point.
 
+The control unit reads its uplink from the trace, so both runners and
+``replay`` solve from one decoder, and every mode (``attocell solve
+--mode direct`` too) reaches the access point through ``ap_solve``.
 Both runs return the same solution objects a direct library call would
 produce; the traces differ, and that difference is the point.  Actors
 only see what was messaged to them plus static configuration, so the
-trace is a faithful record of the information flow.
+trace, headed by its scenario hash and seed, is a faithful record of
+the information flow.
 """
 
 import json
@@ -32,6 +36,7 @@ __all__ = [
     "TraceLog",
     "run_centralized",
     "run_semi_decentralized",
+    "ap_solve",
     "replay",
 ]
 
@@ -45,6 +50,10 @@ def _cell(o):
 
 def _device(j):
     return f"device:{j}"
+
+
+def _index(actor):
+    return int(actor.split(":")[1])
 
 
 @dataclass(frozen=True)
@@ -68,6 +77,8 @@ class TraceLog:
     """Ordered control-plane trace of one run."""
 
     mode: str
+    scenario_hash: str
+    seed: int
     messages: list = field(default_factory=list)
 
     def send(self, sender, receiver, kind, payload):
@@ -93,7 +104,9 @@ class TraceLog:
 
     def to_jsonl(self, path):
         with open(path, "w") as fh:
-            fh.write(json.dumps({"mode": self.mode}, sort_keys=True) + "\n")
+            header = {"mode": self.mode, "scenario_hash": self.scenario_hash,
+                      "seed": self.seed}
+            fh.write(json.dumps(header, sort_keys=True) + "\n")
             for m in self.messages:
                 fh.write(json.dumps(m.record(), sort_keys=True) + "\n")
 
@@ -101,7 +114,7 @@ class TraceLog:
     def from_jsonl(cls, path):
         with open(path) as fh:
             header = json.loads(fh.readline())
-            trace = cls(mode=header["mode"])
+            trace = cls(**header)
             prev = 0
             for line in fh:
                 rec = json.loads(line)
@@ -115,16 +128,44 @@ class TraceLog:
         return trace
 
 
-def _ap_solve(scenario, harvest_targets):
-    """The access point's side: invert the rectifier, run the power SDP."""
+def ap_solve(scenario, solution):
+    """The access point's step in every mode: invert the rectifier, run the
+    power SDP.  Raises InfeasibleError when the split is infeasible."""
+    if not solution.feasible:
+        raise InfeasibleError(f"demand {solution.theta} W not coverable "
+                              f"under RF cap {solution.rf_cap} W")
     rf = sample_rf_channel(scenario.rf_ap, scenario.devices,
                            scenario.rician_factor_db,
                            scenario.path_loss_exponent, scenario.seed)
-    targets = build_eh_targets(np.asarray(harvest_targets, dtype=float),
-                               scenario.rf_nonlinear)
+    targets = build_eh_targets(solution.rf_targets, scenario.rf_nonlinear)
     channels = rf.outer_products()
     aggregate = solve_aggregate_sdp(channels, targets)
     return extract_beams(aggregate, channels)
+
+
+def _controller_step(trace, scenario, theta, rf_cap, method):
+    """The control unit's step: decode the trace's uplink, solve the split.
+
+    Per-element reports become a (validated) gain tensor; device
+    summaries already carry the two scalars per device.
+    """
+    if trace.mode == "centralized":
+        reports = trace.select("channel_report")
+        index = tuple(zip(*[(m.payload["transmitter"], m.payload["element"],
+                             _index(m.sender)) for m in reports]))
+        gains = np.zeros([1 + max(axis) for axis in index])
+        gains[index] = [m.payload["gain"] for m in reports]
+        matrix = VlcChannelMatrix(gains=gains)
+        serving, sums = matrix.serving_gains(), matrix.gain_sums()
+    elif trace.mode == "semi_decentralized":
+        summaries = sorted(trace.select("device_summary"), key=lambda m: _index(m.sender))
+        serving = np.array([m.payload["serving_gain"] for m in summaries])
+        sums = np.array([m.payload["gain_sum"] for m in summaries])
+    else:
+        raise ValueError(f"unknown trace mode {trace.mode!r}")
+    return solve_op1_from_gains(
+        serving, sums, scenario.drive, scenario.vlc_eh, scenario.bias,
+        scenario.noise_power, theta, rf_cap, method=method)
 
 
 def _dispatch(scenario, trace, solution, broadcasts):
@@ -135,18 +176,18 @@ def _dispatch(scenario, trace, solution, broadcasts):
     Raises InfeasibleError when the demand cannot be met; the trace built
     so far is attached to the exception as ``trace``.
     """
-    if not solution.feasible:
-        err = InfeasibleError(f"demand {solution.theta} W not coverable "
-                              f"under RF cap {solution.rf_cap} W")
+    if solution.feasible:
+        for message in broadcasts:
+            trace.send(*message)
+        trace.send(CONTROLLER, RF_AP, "rf_eh_targets",
+                   {"harvest_targets": [float(v) for v in solution.rf_targets],
+                    "theta": float(solution.theta), "rf_cap": float(solution.rf_cap),
+                    "method": solution.method})
+    try:
+        return solution, ap_solve(scenario, solution), trace
+    except InfeasibleError as err:
         err.trace = trace
-        raise err
-    for message in broadcasts:
-        trace.send(*message)
-    trace.send(CONTROLLER, RF_AP, "rf_eh_targets",
-               {"harvest_targets": [float(v) for v in solution.rf_targets],
-                "theta": float(solution.theta), "rf_cap": float(solution.rf_cap),
-                "method": solution.method})
-    return solution, _ap_solve(scenario, solution.rf_targets), trace
+        raise
 
 
 def run_centralized(scenario, theta, rf_cap=None, method="bisection"):
@@ -158,25 +199,19 @@ def run_centralized(scenario, theta, rf_cap=None, method="bisection"):
     """
     if rf_cap is None:
         rf_cap = scenario.rf_exposure_cap
-    trace = TraceLog(mode="centralized")
-    matrix = build_vlc_matrix(scenario.transmitters, scenario.devices)
-    n_tx, n_el, n_dev = matrix.gains.shape
+    trace = TraceLog("centralized", scenario.hash, scenario.seed)
+    gains = build_vlc_matrix(scenario.transmitters, scenario.devices).gains
+    n_tx, n_el, n_dev = gains.shape
 
     # uplink: each device reports every per-element gain it measured
-    reported = np.zeros_like(matrix.gains)
     for j in range(n_dev):
         for o in range(n_tx):
             for i in range(n_el):
-                gain = float(matrix.gains[o, i, j])
                 trace.send(_device(j), CONTROLLER, "channel_report",
-                           {"transmitter": o, "element": i, "gain": gain})
-                reported[o, i, j] = gain
+                           {"transmitter": o, "element": i,
+                            "gain": float(gains[o, i, j])})
 
-    central = VlcChannelMatrix(gains=reported)
-    solution = solve_op1_from_gains(
-        central.serving_gains(), central.gain_sums(), scenario.drive,
-        scenario.vlc_eh, scenario.bias, scenario.noise_power, theta, rf_cap,
-        method=method)
+    solution = _controller_step(trace, scenario, theta, rf_cap, method)
     broadcasts = [(CONTROLLER, _cell(o), "bias_broadcast",
                    {"bias": solution.bias, "ac_swing": solution.ac_swing})
                   for o in range(n_tx)]
@@ -193,46 +228,35 @@ def run_semi_decentralized(scenario, theta, rf_cap=None):
     """
     if rf_cap is None:
         rf_cap = scenario.rf_exposure_cap
-    trace = TraceLog(mode="semi_decentralized")
+    trace = TraceLog("semi_decentralized", scenario.hash, scenario.seed)
     matrix = build_vlc_matrix(scenario.transmitters, scenario.devices)
-    n_tx = matrix.n_transmitters
-    n_dev = matrix.n_devices
-    all_serving = matrix.serving_gains()
-    all_sums = matrix.gain_sums()
+    serving, sums = matrix.serving_gains(), matrix.gain_sums()
 
     # uplink: each device condenses its own measurements to two scalars
-    serving = np.zeros(n_dev)
-    sums = np.zeros(n_dev)
-    serving_tx = np.zeros(n_dev, dtype=int)
-    for j in range(n_dev):
+    for j in range(matrix.n_devices):
         flat = int(np.argmax(matrix.gains[:, :, j]))
         tx_j, el_j = np.unravel_index(flat, matrix.gains.shape[:2])
-        summary = {"serving_gain": float(all_serving[j]),
-                   "gain_sum": float(all_sums[j]),
-                   "serving_transmitter": int(tx_j),
-                   "serving_element": int(el_j)}
-        trace.send(_device(j), CONTROLLER, "device_summary", summary)
-        serving[j] = summary["serving_gain"]
-        sums[j] = summary["gain_sum"]
-        serving_tx[j] = summary["serving_transmitter"]
+        trace.send(_device(j), CONTROLLER, "device_summary",
+                   {"serving_gain": float(serving[j]), "gain_sum": float(sums[j]),
+                    "serving_transmitter": int(tx_j), "serving_element": int(el_j)})
 
-    solution = solve_op1_from_gains(
-        serving, sums, scenario.drive, scenario.vlc_eh, scenario.bias,
-        scenario.noise_power, theta, rf_cap, method="closed_form")
+    solution = _controller_step(trace, scenario, theta, rf_cap, "closed_form")
 
     # the control unit only resolves the worst device's light/RF split;
-    # its gain sum and targets go out to every cell and the AP
+    # its gain sum and light target go out to every cell and the AP
     worst = solution.worst_user
-    rf_worst = float(solution.rf_targets[worst])
-    info = {"worst_user": int(worst), "gain_sum": float(sums[worst]),
-            "rf_harvest": rf_worst, "light_target": float(theta - rf_worst),
-            "theta": float(theta)}
+    summary = next(m.payload for m in trace.select("device_summary")
+                   if m.sender == _device(worst))
+    info = {"worst_user": int(worst), "gain_sum": summary["gain_sum"],
+            "rf_harvest": float(solution.rf_targets[worst]),
+            "light_target": solution.light_target, "theta": float(theta)}
     broadcasts = [(CONTROLLER, _cell(o), "worst_user_info", info)
-                  for o in range(n_tx)]
+                  for o in range(matrix.n_transmitters)]
     broadcasts.append((CONTROLLER, RF_AP, "worst_user_info", info))
     # every cell recovers the same bias from the same two numbers; the
     # worst device's serving cell is the designated reporter
-    broadcasts.append((_cell(int(serving_tx[worst])), CONTROLLER, "bias_report",
+    broadcasts.append((_cell(summary["serving_transmitter"]), CONTROLLER,
+                       "bias_report",
                        {"bias": solution.bias, "ac_swing": solution.ac_swing}))
     return _dispatch(scenario, trace, solution, broadcasts)
 
@@ -240,44 +264,19 @@ def run_semi_decentralized(scenario, theta, rf_cap=None):
 def replay(trace, scenario):
     """Recompute the final solution from a trace's logged messages.
 
-    Uses only message payloads plus static scenario configuration, so a
-    byte-identical trace against the same scenario must land on the
-    byte-identical solution.  Returns (LightwaveSolution,
-    BeamformingSolution).
+    Runs the control unit's step on the logged uplink and the demand in
+    the logged AP message, then the AP step, so a byte-identical trace
+    against the same scenario must land on the byte-identical solution.
+    Returns (LightwaveSolution, BeamformingSolution).  Raises ValueError
+    when the scenario's hash differs from the trace's.
     """
+    if trace.scenario_hash != scenario.hash:
+        raise ValueError(f"trace was recorded on scenario {trace.scenario_hash}, "
+                         f"not {scenario.hash}")
     targets_msgs = trace.select("rf_eh_targets")
     if len(targets_msgs) != 1:
         raise ValueError("trace must contain exactly one rf_eh_targets message")
     meta = targets_msgs[0].payload
-    theta = meta["theta"]
-    rf_cap = meta["rf_cap"]
-    method = meta["method"]
-
-    if trace.mode == "centralized":
-        reports = trace.select("channel_report")
-        n_dev = 1 + max(int(m.sender.split(":")[1]) for m in reports)
-        n_tx = 1 + max(m.payload["transmitter"] for m in reports)
-        n_el = 1 + max(m.payload["element"] for m in reports)
-        gains = np.zeros((n_tx, n_el, n_dev))
-        for m in reports:
-            j = int(m.sender.split(":")[1])
-            gains[m.payload["transmitter"], m.payload["element"], j] = m.payload["gain"]
-        central = VlcChannelMatrix(gains=gains)
-        serving, sums = central.serving_gains(), central.gain_sums()
-    elif trace.mode == "semi_decentralized":
-        summaries = trace.select("device_summary")
-        n_dev = len(summaries)
-        serving = np.zeros(n_dev)
-        sums = np.zeros(n_dev)
-        for m in summaries:
-            j = int(m.sender.split(":")[1])
-            serving[j] = m.payload["serving_gain"]
-            sums[j] = m.payload["gain_sum"]
-    else:
-        raise ValueError(f"unknown trace mode {trace.mode!r}")
-
-    solution = solve_op1_from_gains(
-        serving, sums, scenario.drive, scenario.vlc_eh, scenario.bias,
-        scenario.noise_power, theta, rf_cap, method=method)
-    beams = _ap_solve(scenario, meta["harvest_targets"])
-    return solution, beams
+    solution = _controller_step(trace, scenario, meta["theta"], meta["rf_cap"],
+                                meta["method"])
+    return solution, ap_solve(scenario, solution)

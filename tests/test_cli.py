@@ -75,9 +75,27 @@ def test_solve_unit_suffixes(tmp_path):
     assert sol["rf_cap_w"] == pytest.approx(5e-3)
 
 
-def test_solve_infeasible_exit_code(tmp_path):
+def test_solve_infeasible_exit_code(tmp_path, capsys):
     code = main(["solve", "--theta", "50mW", "--out-dir", str(tmp_path)])
     assert code == EXIT_INFEASIBLE
+    # the direct mode raises the runners' InfeasibleError, message and all
+    cap = default_scenario().rf_exposure_cap
+    assert capsys.readouterr().err == (
+        f"infeasible: demand 0.05 W not coverable under RF cap {cap} W\n")
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("method", ["bisection", "closed_form"])
+def test_solve_direct_matches_centralized(tmp_path, method):
+    direct, central = tmp_path / "direct", tmp_path / "central"
+    for mode, out in (("direct", direct), ("centralized", central)):
+        assert main(["solve", "--theta", "4mW", "--mode", mode, "--method", method,
+                     "--out-dir", str(out)]) == EXIT_OK
+    assert ((direct / "solution.json").read_bytes()
+            == (central / "solution.json").read_bytes())
+    # only the orchestrated modes write a trace
+    assert [p.name for p in direct.iterdir()] == ["solution.json"]
+    assert (central / "trace_centralized.jsonl").exists()
 
 
 @pytest.mark.parametrize("routine", ["cholesky", "solve"])
@@ -145,6 +163,40 @@ def test_exp_json_format(tmp_path):
     assert code == EXIT_OK
     data = json.loads(next(tmp_path.glob("*.json")).read_text())
     assert data["columns"]["user"]
+
+
+@pytest.mark.parametrize("experiment,unread", [
+    ("feasibility", ["--theta", "3mW", "--trials", "7", "--bias", "1mA", "--points", "3"]),
+    ("feasibility", ["--theta", "3mW"]),
+    ("feasibility", ["--trials", "7"]),
+    ("feasibility", ["--bias", "1mA"]),
+    ("feasibility", ["--points", "3"]),
+    ("snr-eh-region", ["--theta", "3mW"]),
+    ("eh-allocation", ["--points", "3"]),
+    ("rf-power", ["--theta-rf", "5mW"]),
+    ("subopt-gap", ["--trials", "7"]),
+    ("illuminance", ["--theta", "3mW"]),
+])
+def test_exp_rejects_unread_option(tmp_path, capsys, experiment, unread):
+    code = main(["exp", experiment, *unread, "--out-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"configuration error: exp {experiment} does not read "
+        f"{', '.join(sorted(unread[::2]))}\n")
+    assert not list(tmp_path.iterdir())
+
+
+def test_exp_options_reach_the_runner(tmp_path, capsys):
+    out = str(tmp_path)
+    assert main(["exp", "subopt-gap", "--points", "3", "--out-dir", out]) == EXIT_OK
+    rows = (tmp_path / "subopt_gap.csv").read_text().splitlines()[1:]
+    assert [float(r.split(",")[0]) for r in rows] == [0.0, 4e-3, 8e-3]
+    assert main(["exp", "illuminance", "--bias", "7mA", "--format", "json",
+                 "--out-dir", out]) == EXIT_OK
+    assert json.loads((tmp_path / "illuminance.json").read_text())["meta"]["bias_a"] == 7e-3
+    # unset options leave the runner's own defaults in force
+    assert main(["exp", "snr-eh-region", "--out-dir", out]) == EXIT_OK
+    assert "n_points=201" in capsys.readouterr().out
 
 
 def test_exp_infeasible_exit_code(tmp_path):

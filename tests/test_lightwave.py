@@ -158,6 +158,7 @@ def test_infeasible_outcome(scenario):
     sol = _solve_default(scenario, 50e-3)
     assert not sol.feasible
     assert np.isnan(sol.bias)
+    assert np.isnan(sol.light_target)
     assert sol.min_snr == -np.inf
     assert sol.min_snr_db == -np.inf
     assert np.all(sol.rf_targets == 0.0)
@@ -177,6 +178,9 @@ def test_fallback_reassigns_worst_role(scenario):
     assert sol.worst_user == 1
     total = sol.light_harvests + sol.rf_targets
     assert np.all(total >= 2.2e-3 * (1 - 1e-12))
+    # the recorded light target is the one the re-anchored solve used
+    assert solve_bias_bisection(scenario.drive, scenario.vlc_eh, sums[1],
+                                sol.light_target, scenario.bias) == sol.bias
 
 
 def test_unknown_method_rejected(scenario):

@@ -5,9 +5,10 @@ import pytest
 
 from attocell.channels import build_vlc_matrix
 from attocell.errors import InfeasibleError
-from attocell.lightwave import solve_op1
+from attocell.lightwave import solve_bias_closed_form, solve_op1
 from attocell.orchestrator import (ControlMessage, TraceLog, replay,
                                    run_centralized, run_semi_decentralized)
+from attocell.scenario import default_scenario
 
 THETA = 4e-3
 
@@ -83,13 +84,40 @@ def test_jsonl_roundtrip(scenario, tmp_path):
     path = tmp_path / "trace.jsonl"
     trace.to_jsonl(path)
     lines = path.read_text().splitlines()
-    assert json.loads(lines[0]) == {"mode": "semi_decentralized"}
+    assert json.loads(lines[0]) == {"mode": "semi_decentralized",
+                                    "scenario_hash": scenario.hash,
+                                    "seed": scenario.seed}
     assert len(lines) == len(trace) + 1
     back = TraceLog.from_jsonl(path)
-    assert back.mode == trace.mode
+    assert (back.mode, back.scenario_hash, back.seed) == (
+        trace.mode, scenario.hash, scenario.seed)
     assert back.messages == trace.messages
     sol, _ = replay(back, scenario)
     assert sol.feasible
+
+
+def test_replay_refuses_other_scenario(tmp_path):
+    # the hash covers the seed: a trace from seed 101 names another RF draw
+    _, _, trace = run_centralized(default_scenario(seed=101), THETA)
+    path = tmp_path / "trace.jsonl"
+    trace.to_jsonl(path)
+    other = default_scenario(seed=102)
+    for logged in (trace, TraceLog.from_jsonl(path)):
+        with pytest.raises(ValueError, match="scenario"):
+            replay(logged, other)
+
+
+def test_semi_broadcast_recovers_reported_bias(scenario):
+    # a cell running the closed form on the broadcast numbers lands on the
+    # designated reporter's bias bit for bit
+    for theta in np.linspace(0.0, 8e-3, 161):
+        _, _, trace = run_semi_decentralized(scenario, float(theta))
+        info = trace.select("worst_user_info")[0].payload
+        reported = trace.select("bias_report")[0].payload["bias"]
+        local = solve_bias_closed_form(scenario.drive, scenario.vlc_eh,
+                                       info["gain_sum"], info["light_target"],
+                                       scenario.bias)
+        assert local == reported, theta
 
 
 def test_jsonl_rejects_scrambled_sequence(scenario, tmp_path):
