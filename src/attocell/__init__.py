@@ -10,8 +10,8 @@ both control architectures as explicit message-passing simulations.
 from .channels import (RfChannelSet, VlcChannelMatrix, build_vlc_matrix,
                        sample_rf_channel)
 from .energy import (BiasLimits, DriveParams, LinearEhParams, NonlinearEhParams,
-                     VlcEhParams, generated_current, linear_eh, nonlinear_eh,
-                     nonlinear_eh_inverse, open_circuit_voltage, rf_input_energy,
+                     VlcEhParams, generated_current, nonlinear_eh,
+                     nonlinear_eh_inverse, open_circuit_voltage,
                      vlc_harvested_power, vlc_snr, vlc_snr_db)
 from .errors import (AttocellError, DimensionMismatchError, InfeasibleError,
                      ScenarioError, SolverStallError, TargetUnreachableError,

@@ -6,6 +6,7 @@ Exit codes: 0 success, 2 configuration problem, 3 infeasible demand,
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -37,12 +38,15 @@ def _load(args):
     return default_scenario(seed=args.seed)
 
 
-def _add_common(parser):
+def _add_common(parser, out_dir=False, fmt=False):
+    """--config and --seed, plus --out-dir and --format where the command writes them."""
     parser.add_argument("--config", help="scenario YAML (default: bundled)")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the scenario seed")
-    parser.add_argument("--out-dir", default=".", help="where to write outputs")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
+    if out_dir:
+        parser.add_argument("--out-dir", default=".", help="where to write outputs")
+    if fmt:
+        parser.add_argument("--format", choices=("csv", "json"), default="csv")
 
 
 def _write_result(result, args):
@@ -188,7 +192,7 @@ def build_parser():
     p_ch = sub.add_parser("channels", help="channel matrix operations")
     ch_sub = p_ch.add_subparsers(dest="action", required=True)
     p_dump = ch_sub.add_parser("dump", help="write VLC and RF channel tables")
-    _add_common(p_dump)
+    _add_common(p_dump, out_dir=True, fmt=True)
     p_dump.set_defaults(func=_cmd_channels_dump)
 
     p_solve = sub.add_parser("solve", help="solve one allocation instance")
@@ -201,7 +205,7 @@ def build_parser():
     p_solve.add_argument("--mode",
                          choices=("direct", "centralized", "semi"),
                          default="direct")
-    _add_common(p_solve)
+    _add_common(p_solve, out_dir=True)
     p_solve.set_defaults(func=_cmd_solve)
 
     p_exp = sub.add_parser("exp", help="run a sweep experiment")
@@ -210,14 +214,17 @@ def build_parser():
         readers = ", ".join(name for name, (_, opts) in _EXPERIMENTS.items() if key in opts)
         p_exp.add_argument("--" + key.replace("_", "-"), default=argparse.SUPPRESS,
                            help=f"read by {readers} only; default: the experiment's own")
-    _add_common(p_exp)
+    _add_common(p_exp, out_dir=True, fmt=True)
     p_exp.set_defaults(func=_cmd_exp)
     return parser
 
 
+# argparse parsers keep no state between parse_args calls, so one tree serves them all
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (ScenarioError, UnservableDeviceError, ValueError) as exc:

@@ -24,10 +24,8 @@ __all__ = [
     "generated_current",
     "open_circuit_voltage",
     "vlc_harvested_power",
-    "rf_input_energy",
     "nonlinear_eh",
     "nonlinear_eh_inverse",
-    "linear_eh",
 ]
 
 
@@ -63,11 +61,6 @@ class BiasLimits:
     @property
     def midpoint(self):
         return 0.5 * (self.low + self.high)
-
-    @property
-    def max_swing(self):
-        # bias at the midpoint leaves the largest symmetric AC headroom
-        return 0.5 * (self.high - self.low)
 
     def swing_at(self, bias):
         """Peak AC amplitude available at the given DC bias."""
@@ -153,12 +146,6 @@ def vlc_harvested_power(drive, eh_params, gain_sum, bias):
     return eh_params.fill_factor * ig * open_circuit_voltage(eh_params, ig)
 
 
-def rf_input_energy(beams, channel_vector):
-    """RF power delivered to one device, sum_j |g^H w_j|^2."""
-    g = np.asarray(channel_vector)
-    return float(sum(abs(np.vdot(g, w)) ** 2 for w in beams))
-
-
 def nonlinear_eh(params, power_in):
     """Harvested power of the logistic rectifier.
 
@@ -185,7 +172,3 @@ def nonlinear_eh_inverse(params, harvested):
             f"requested {harvested} W exceeds rectifier saturation {m} W")
     eab = np.exp(a * b)
     return b - np.log(eab * (m - harvested) / (eab * harvested + m)) / a
-
-
-def linear_eh(params, power_in):
-    return params.efficiency * power_in

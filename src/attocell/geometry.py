@@ -40,7 +40,7 @@ class OpticalElement:
 
     boresight: np.ndarray  # unit vector
     semiangle: float       # half-power semiangle, rad
-    lambert_m: float = field(default=0.0)
+    lambert_m: float = field(init=False)  # derived from the semiangle
 
     def __post_init__(self):
         b = np.asarray(self.boresight, dtype=float)
@@ -48,8 +48,7 @@ class OpticalElement:
         if not np.isclose(norm, 1.0, atol=1e-9):
             raise ScenarioError("element boresight must be a unit vector")
         object.__setattr__(self, "boresight", b)
-        if self.lambert_m == 0.0:
-            object.__setattr__(self, "lambert_m", lambert_mode(self.semiangle))
+        object.__setattr__(self, "lambert_m", lambert_mode(self.semiangle))
 
 
 @dataclass(frozen=True)

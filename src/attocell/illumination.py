@@ -39,11 +39,6 @@ class IlluminanceMap:
     def fraction_above(self, threshold):
         return float(np.mean(self.values > threshold))
 
-    def total_flux(self):
-        """Flux landing on the plane by the trapezoid rule, for sanity checks."""
-        inner = np.trapezoid(self.values, self.xs, axis=1)
-        return float(np.trapezoid(inner, self.ys))
-
 
 def illuminance_map(transmitters, drive, bias, efficacy, room_size, grid_step=0.1):
     """Horizontal illuminance over the floor on a uniform grid.

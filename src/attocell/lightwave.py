@@ -45,7 +45,6 @@ class SubRfOutcome:
     feasible: bool
     rf_target: float  # RF input assigned to the worst user, already capped
     vlc_target: float  # remainder the light side must deliver
-    slack: float  # rf_cap - (theta - max light harvest); negative means infeasible
 
 
 def solve_subrf(theta, max_light_eh, min_light_eh, rf_cap):
@@ -61,12 +60,11 @@ def solve_subrf(theta, max_light_eh, min_light_eh, rf_cap):
     when RF covers the whole deficit the light side gets exactly
     ``min_light_eh``, which the midpoint bias meets.
     """
-    slack = rf_cap - (theta - max_light_eh)
-    if slack < 0:
-        return SubRfOutcome(feasible=False, rf_target=0.0, vlc_target=theta, slack=slack)
+    if rf_cap - (theta - max_light_eh) < 0:
+        return SubRfOutcome(feasible=False, rf_target=0.0, vlc_target=theta)
     rf = min(max(theta - min_light_eh, 0.0), rf_cap)
     vlc = min(theta, max(theta - rf_cap, min_light_eh))
-    return SubRfOutcome(feasible=True, rf_target=rf, vlc_target=vlc, slack=slack)
+    return SubRfOutcome(feasible=True, rf_target=rf, vlc_target=vlc)
 
 
 def solve_bias_bisection(drive, eh_params, gain_sum, target, bias_limits, tol=1e-7):
@@ -115,13 +113,6 @@ def solve_bias_closed_form(drive, eh_params, gain_sum, target, bias_limits):
     return float(np.clip(bias, bias_limits.midpoint, bias_limits.high))
 
 
-_BIAS_SOLVERS = {
-    "bisection": solve_bias_bisection,
-    "closed_form": lambda drive, eh, gs, tgt, lim, **kw: solve_bias_closed_form(
-        drive, eh, gs, tgt, lim),
-}
-
-
 @dataclass(frozen=True)
 class LightwaveSolution:
     """Joint operating point of all cells for one energy demand."""
@@ -166,7 +157,7 @@ def solve_op1_from_gains(serving_gains, gain_sums, drive, vlc_eh, bias_limits,
     harvest curve lower-bounds everyone else's, and the solve repeats
     once.
     """
-    if method not in _BIAS_SOLVERS:
+    if method not in ("bisection", "closed_form"):
         raise ValueError(f"unknown bias method {method!r}")
     serving = np.asarray(serving_gains, dtype=float)
     sums = np.asarray(gain_sums, dtype=float)
@@ -180,8 +171,12 @@ def solve_op1_from_gains(serving_gains, gain_sums, drive, vlc_eh, bias_limits,
         sub = solve_subrf(theta, max_eh, min_eh, rf_cap)
         if not sub.feasible:
             return None
-        bias = _BIAS_SOLVERS[method](drive, vlc_eh, sums[worst], sub.vlc_target,
-                                     bias_limits, tol=tol)
+        if method == "bisection":
+            bias = solve_bias_bisection(drive, vlc_eh, sums[worst], sub.vlc_target,
+                                        bias_limits, tol=tol)
+        else:
+            bias = solve_bias_closed_form(drive, vlc_eh, sums[worst], sub.vlc_target,
+                                          bias_limits)
         harvests = np.array([
             vlc_harvested_power(drive, vlc_eh, s, bias) for s in sums])
         raw = theta - harvests

@@ -15,7 +15,9 @@ def lambert_w0(x):
 
     Solves w * exp(w) = x by Halley iteration.  Accepts scalars or
     arrays; the residual |w e^w - x| is driven below
-    1e-12 * max(1, |x|) for every element.
+    1e-12 * max(1, |x|) for every element.  Each element stops where
+    its own scalar call would, so an array gives each element the bits
+    of ``lambert_w0(float(x))``.
 
     Args:
         x: nonnegative value(s).
@@ -32,17 +34,23 @@ def lambert_w0(x):
         lg = np.log(arr[big])
         w[big] = lg - np.log(lg)
     scale = np.maximum(1.0, np.abs(arr))
+    tol = _REL_TOL * scale
     for _ in range(_MAX_ITER):
         e = np.exp(w)
         f = w * e - arr
-        if np.all(np.abs(f) <= _REL_TOL * scale):
+        done = np.abs(f) <= tol
+        if np.all(done):
             break
         # Halley step; denominator never vanishes for w >= 0
         wp1 = w + 1.0
         step = f / (e * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        if not np.any(w - step != w):
+        # a converged element stops, as its scalar call would; so does one
+        # whose step rounds to nothing, as w - step is then w again
+        step[done] = 0.0
+        new = w - step
+        if np.array_equal(new, w):
             break  # further steps round to nothing
-        w = w - step
+        w = new
     # near the tolerance the iteration can cycle on the last ulp, so the
     # loop count is not the verdict; the residual contract is
     res = np.abs(w * np.exp(w) - arr)

@@ -90,15 +90,6 @@ class TraceLog:
     def __len__(self):
         return len(self.messages)
 
-    def kinds(self):
-        return [m.kind for m in self.messages]
-
-    def count_by_kind(self):
-        out = {}
-        for m in self.messages:
-            out[m.kind] = out.get(m.kind, 0) + 1
-        return out
-
     def select(self, kind):
         return [m for m in self.messages if m.kind == kind]
 

@@ -62,14 +62,32 @@ def parse_quantity(value):
     return float(num) * _UNIT_SCALE[unit]
 
 
+def _list(value):
+    if not isinstance(value, list):
+        raise TypeError(f"expected a list, got {value!r}")
+    return value
+
+
 def _qty_list(values):
-    return [parse_quantity(v) for v in values]
+    return [parse_quantity(v) for v in _list(values)]
 
 
-def _require(cfg, key, where):
-    if key not in cfg:
+def _mapping(node, where):
+    if not isinstance(node, dict):
+        raise ScenarioError(f"{where} must be a mapping, got {node!r}")
+    return node
+
+
+def _require(cfg, key, where, kind=None):
+    """``cfg[key]``, passed through ``kind`` if given; a wrong shape names the key."""
+    if key not in _mapping(cfg, where):
         raise ScenarioError(f"missing key {key!r} in {where}")
-    return cfg[key]
+    if kind is None:
+        return cfg[key]
+    try:
+        return kind(cfg[key])
+    except (TypeError, ValueError) as exc:
+        raise ScenarioError(f"{key!r} in {where}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -92,14 +110,6 @@ class Scenario:
     noise_power: float
     efficacy: float
     canonical: dict
-
-    @property
-    def n_transmitters(self):
-        return len(self.transmitters)
-
-    @property
-    def n_devices(self):
-        return len(self.devices)
 
     @property
     def hash(self):
@@ -125,34 +135,34 @@ def _resolved(node):
 
 
 def _resolve(cfg):
-    if not isinstance(cfg, dict):
-        raise ScenarioError("scenario root must be a mapping")
-    seed = int(cfg.get("seed", 0))
-    room = np.asarray(_qty_list(_require(cfg, "room", "scenario")["size"]), dtype=float)
+    seed = _require(cfg, "seed", "scenario", int) if "seed" in cfg else 0
+    room = np.asarray(_require(_require(cfg, "room", "scenario"), "size", "room", _qty_list),
+                      dtype=float)
     if room.shape != (3,) or np.any(room <= 0):
         raise ScenarioError("room size must be three positive lengths")
 
     opt = _require(cfg, "optical", "scenario")
-    positions = [np.asarray(_qty_list(p), dtype=float) for p in _require(opt, "transmitters", "optical")]
-    n_el = int(_require(opt, "elements_per_transmitter", "optical"))
+    positions = _require(opt, "transmitters", "optical",
+                         lambda ps: [np.asarray(_qty_list(p), dtype=float) for p in _list(ps)])
+    n_el = _require(opt, "elements_per_transmitter", "optical", int)
     semiangle = parse_quantity(_require(opt, "semiangle", "optical"))
     tilt = parse_quantity(_require(opt, "ring_tilt", "optical"))
-    offsets = _qty_list(_require(opt, "ring_azimuth_offsets", "optical"))
+    offsets = _require(opt, "ring_azimuth_offsets", "optical", _qty_list)
     if len(offsets) != len(positions):
         raise ScenarioError("need one ring azimuth offset per transmitter")
     bias = BiasLimits(parse_quantity(_require(opt, "bias_low", "optical")),
                       parse_quantity(_require(opt, "bias_high", "optical")))
-    efficacy = float(_require(opt, "efficacy", "optical"))
+    efficacy = _require(opt, "efficacy", "optical", float)
 
     det_cfg = _require(cfg, "detector", "scenario")
     detector = Photodetector(
         area=parse_quantity(_require(det_cfg, "area", "detector")),
         fov=parse_quantity(_require(det_cfg, "fov", "detector")),
-        refractive_index=float(_require(det_cfg, "refractive_index", "detector")),
+        refractive_index=_require(det_cfg, "refractive_index", "detector", float),
     )
     drive = DriveParams(
         responsivity=parse_quantity(_require(det_cfg, "responsivity", "detector")),
-        leds_per_color=int(_require(opt, "leds_per_color", "optical")),
+        leds_per_color=_require(opt, "leds_per_color", "optical", int),
         led_voltage=parse_quantity(_require(opt, "led_voltage", "optical")),
     )
 
@@ -164,12 +174,12 @@ def _resolve(cfg):
         transmitters.append(OpticalTransmitter(position=pos, elements=elements))
 
     devices = []
-    for k, dev_cfg in enumerate(_require(cfg, "devices", "scenario")):
-        if "position" in dev_cfg:
-            pos = np.asarray(_qty_list(dev_cfg["position"]), dtype=float)
+    for k, dev_cfg in enumerate(_require(cfg, "devices", "scenario", _list)):
+        if "position" in _mapping(dev_cfg, f"device {k}"):
+            pos = np.asarray(_require(dev_cfg, "position", f"device {k}", _qty_list), dtype=float)
         else:
             # shorthand: distance and compass bearing from a transmitter
-            ti = int(_require(dev_cfg, "transmitter", f"device {k}"))
+            ti = _require(dev_cfg, "transmitter", f"device {k}", int)
             if not (0 <= ti < len(transmitters)):
                 raise ScenarioError(f"device {k} references transmitter {ti}")
             dist = parse_quantity(_require(dev_cfg, "distance", f"device {k}"))
@@ -189,18 +199,18 @@ def _resolve(cfg):
 
     eh_cfg = _require(cfg, "vlc_harvest", "scenario")
     vlc_eh = VlcEhParams(
-        fill_factor=float(_require(eh_cfg, "fill_factor", "vlc_harvest")),
+        fill_factor=_require(eh_cfg, "fill_factor", "vlc_harvest", float),
         thermal_voltage=parse_quantity(_require(eh_cfg, "thermal_voltage", "vlc_harvest")),
         dark_current=parse_quantity(_require(eh_cfg, "dark_current", "vlc_harvest")),
     )
 
     rf_cfg = _require(cfg, "rf", "scenario")
     rf_ap = RfAccessPoint(
-        position=np.asarray(_qty_list(_require(rf_cfg, "access_point", "rf")), dtype=float),
-        antennas=int(_require(rf_cfg, "antennas", "rf")),
+        position=np.asarray(_require(rf_cfg, "access_point", "rf", _qty_list), dtype=float),
+        antennas=_require(rf_cfg, "antennas", "rf", int),
     )
-    rician = float(_require(rf_cfg, "rician_factor_db", "rf"))
-    ple = float(_require(rf_cfg, "path_loss_exponent", "rf"))
+    rician = _require(rf_cfg, "rician_factor_db", "rf", float)
+    ple = _require(rf_cfg, "path_loss_exponent", "rf", float)
     cap = parse_quantity(_require(rf_cfg, "exposure_cap", "rf"))
     if cap <= 0:
         raise ScenarioError("rf exposure cap must be positive")
@@ -208,10 +218,10 @@ def _resolve(cfg):
     rfh_cfg = _require(cfg, "rf_harvest", "scenario")
     rf_nonlinear = NonlinearEhParams(
         max_harvest=parse_quantity(_require(rfh_cfg, "max_harvest", "rf_harvest")),
-        steepness=float(_require(rfh_cfg, "steepness", "rf_harvest")),
+        steepness=_require(rfh_cfg, "steepness", "rf_harvest", float),
         turn_on=parse_quantity(_require(rfh_cfg, "turn_on", "rf_harvest")),
     )
-    rf_linear = LinearEhParams(efficiency=float(_require(rfh_cfg, "linear_efficiency", "rf_harvest")))
+    rf_linear = LinearEhParams(efficiency=_require(rfh_cfg, "linear_efficiency", "rf_harvest", float))
 
     noise = parse_quantity(_require(cfg, "noise_power", "scenario"))
     if noise <= 0:
@@ -226,26 +236,28 @@ def _resolve(cfg):
     )
 
 
+def _parse(source, seed):
+    """The one parse step for scenario YAML, bundled text or a user's open file."""
+    try:
+        cfg = yaml.safe_load(source)
+    except yaml.YAMLError as exc:
+        raise ScenarioError(f"invalid YAML: {exc}") from exc
+    _mapping(cfg, "scenario root")
+    if seed is not None:
+        cfg = dict(cfg, seed=int(seed))
+    return _resolve(cfg)
+
+
 def load_scenario(path, seed=None):
     """Read and resolve a YAML scenario file; ``seed`` overrides the file's."""
     try:
         with open(path) as fh:
-            cfg = yaml.safe_load(fh)
+            return _parse(fh, seed)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
-    except yaml.YAMLError as exc:
-        raise ScenarioError(f"invalid YAML: {exc}") from exc
-    if seed is not None:
-        if not isinstance(cfg, dict):
-            raise ScenarioError("scenario root must be a mapping")
-        cfg = dict(cfg, seed=int(seed))
-    return _resolve(cfg)
 
 
 def default_scenario(seed=None):
     """The bundled four-cell reference deployment."""
-    text = resources.files("attocell").joinpath("data/default_scenario.yaml").read_text()
-    cfg = yaml.safe_load(text)
-    if seed is not None:
-        cfg = dict(cfg, seed=int(seed))
-    return _resolve(cfg)
+    return _parse(resources.files("attocell").joinpath("data/default_scenario.yaml")
+                  .read_text(), seed)

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 from importlib import resources
@@ -9,10 +10,10 @@ import yaml
 import attocell.beamforming as beamforming
 from attocell.beamforming import solve_aggregate_sdp
 from attocell.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_SOLVER,
-                          main)
+                          build_parser, main)
 from attocell.channels import build_vlc_matrix
-from attocell.errors import SolverStallError
-from attocell.scenario import default_scenario
+from attocell.errors import ScenarioError, SolverStallError
+from attocell.scenario import default_scenario, load_scenario
 
 
 def test_scenario_validate_default(capsys):
@@ -228,15 +229,97 @@ def unlit_config(tmp_path):
     return str(path)
 
 
+OUT = "--out-dir={out}"
+
+
 @pytest.mark.parametrize("argv", [
-    ["solve", "--theta", "4mW", "--mode", "direct"],
-    ["solve", "--theta", "4mW", "--mode", "centralized"],
-    ["solve", "--theta", "4mW", "--mode", "semi"],
-    ["exp", "subopt-gap", "--points", "2"],
-    ["channels", "dump"],
+    ["solve", "--theta", "4mW", "--mode", "direct", OUT],
+    ["solve", "--theta", "4mW", "--mode", "centralized", OUT],
+    ["solve", "--theta", "4mW", "--mode", "semi", OUT],
+    ["exp", "subopt-gap", "--points", "2", OUT],
+    ["channels", "dump", OUT],
     ["scenario", "validate"],
 ], ids=["direct", "centralized", "semi", "exp", "dump", "validate"])
 def test_unlit_device_is_config_error(tmp_path, capsys, unlit_config, argv):
-    code = main(argv + ["--config", unlit_config, "--out-dir", str(tmp_path / "out")])
+    argv = [arg.format(out=tmp_path / "out") for arg in argv]
+    code = main(argv + ["--config", unlit_config])
     assert code == EXIT_CONFIG
     assert "device 4 receives no light" in capsys.readouterr().err
+
+
+# (path to the entry, value it is replaced with, what the error must name)
+@pytest.mark.parametrize("path,value,named", [
+    pytest.param(("detector",), 5, "detector", id="detector=5"),
+    pytest.param(("devices",), 5, "devices", id="devices=5"),
+    pytest.param(("devices",), [5], "device 0", id="devices=[5]"),
+    pytest.param(("room",), {"size": 5}, "size", id="room.size=5"),
+    pytest.param(("rf", "access_point"), 5, "access_point", id="rf.access_point=5"),
+    pytest.param(("optical", "ring_azimuth_offsets"), 5, "ring_azimuth_offsets",
+                 id="optical.ring_azimuth_offsets=5"),
+    pytest.param(("optical", "elements_per_transmitter"), [7], "elements_per_transmitter",
+                 id="optical.elements_per_transmitter=[7]"),
+    pytest.param(("seed",), [1], "seed", id="seed=[1]"),
+])
+def test_malformed_structure_is_config_error(tmp_path, capsys, path, value, named):
+    cfg = yaml.safe_load(resources.files("attocell").joinpath(
+        "data/default_scenario.yaml").read_text())
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(cfg))
+    with pytest.raises(ScenarioError, match=named):
+        load_scenario(bad)
+    assert main(["scenario", "validate", "--config", str(bad)]) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+
+
+def _options(parser, command=()):
+    """{subcommand: its long options} for every leaf command under ``parser``."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            out = {}
+            for name, sub in action.choices.items():
+                out.update(_options(sub, command + (name,)))
+            return out
+    return {" ".join(command): {opt for action in parser._actions
+                                for opt in action.option_strings
+                                if opt.startswith("--") and opt != "--help"}}
+
+
+def test_each_command_accepts_only_the_options_it_reads():
+    scenario = {"--config", "--seed"}
+    assert _options(build_parser()) == {
+        "scenario validate": scenario,
+        "channels dump": scenario | {"--out-dir", "--format"},
+        "solve": scenario | {"--out-dir", "--theta", "--theta-rf", "--method", "--mode"},
+        "exp": scenario | {"--out-dir", "--format", "--points", "--theta",
+                           "--theta-rf", "--trials", "--bias"},
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["scenario", "validate", "--out-dir", "x"],
+    ["scenario", "validate", "--format", "json"],
+    ["solve", "--theta", "4mW", "--format", "json"],
+], ids=["validate-out-dir", "validate-format", "solve-format"])
+def test_options_a_command_ignores_are_usage_errors(tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert not list(tmp_path.iterdir())
+
+
+def test_successive_calls_share_no_options(tmp_path, capsys):
+    out = ["--out-dir", str(tmp_path)]
+    assert main(["exp", "feasibility", "--theta", "3mW", *out]) == EXIT_CONFIG
+    assert main(["exp", "eh-allocation", "--theta", "3mW", *out]) == EXIT_OK
+    # the --theta of the call before is not carried into this one
+    assert main(["exp", "feasibility", *out]) == EXIT_OK
+    assert main(["exp", "illuminance", "--format", "json", *out]) == EXIT_OK
+    assert main(["channels", "dump", *out]) == EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "eh_allocation.csv", "feasibility_vs_theta.csv", "illuminance.json",
+        "rf_channels.csv", "vlc_channels.csv"]

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from attocell.energy import (BiasLimits, DriveParams, LinearEhParams,
-                             NonlinearEhParams, VlcEhParams, generated_current,
-                             linear_eh, nonlinear_eh, nonlinear_eh_inverse,
-                             open_circuit_voltage, rf_input_energy,
+from attocell.energy import (BiasLimits, DriveParams, NonlinearEhParams,
+                             VlcEhParams, generated_current, nonlinear_eh,
+                             nonlinear_eh_inverse, open_circuit_voltage,
                              vlc_harvested_power, vlc_snr, vlc_snr_db)
 from attocell.errors import TargetUnreachableError
 
@@ -13,7 +12,6 @@ DRIVE = DriveParams(responsivity=0.4, leds_per_color=40, led_voltage=2.25)
 LIMITS = BiasLimits(low=2e-3, high=12e-3)
 VLC_EH = VlcEhParams(fill_factor=0.75, thermal_voltage=25e-3, dark_current=1e-9)
 RECT = NonlinearEhParams(max_harvest=24e-3, steepness=150.0, turn_on=14e-3)
-LIN = LinearEhParams(efficiency=0.5)
 
 
 def test_conversion_factor():
@@ -22,7 +20,6 @@ def test_conversion_factor():
 
 def test_bias_limits_derived_points():
     assert LIMITS.midpoint == pytest.approx(7e-3, rel=1e-15)
-    assert LIMITS.max_swing == pytest.approx(5e-3, rel=1e-15)
     assert LIMITS.swing_at(9e-3) == pytest.approx(3e-3, rel=1e-12)
     assert LIMITS.swing_at(LIMITS.high) == pytest.approx(0.0, abs=1e-18)
 
@@ -81,15 +78,6 @@ def test_harvest_monotone_in_bias(gain_sum, bias):
     assert hi > lo
 
 
-def test_rf_input_energy_matched_beam():
-    g = np.array([1.0 + 0j, 1j, -1.0])
-    w = g / np.linalg.norm(g)
-    assert rf_input_energy([w], g) == pytest.approx(3.0, rel=1e-12)
-    # orthogonal beam contributes nothing
-    w_perp = np.array([1.0, 0.0, 1.0]) / np.sqrt(2)
-    assert rf_input_energy([w_perp], g) == pytest.approx(0.0, abs=1e-12)
-
-
 def test_nonlinear_eh_reference_points():
     assert nonlinear_eh(RECT, 0.0) == 0.0  # exact, not approximate
     assert nonlinear_eh(RECT, 14e-3) == pytest.approx(0.0105305228609642, rel=1e-12)
@@ -127,8 +115,3 @@ def test_nonlinear_eh_bounded_and_monotone(power):
     val = nonlinear_eh(RECT, power)
     assert 0.0 <= val < RECT.max_harvest
     assert nonlinear_eh(RECT, power + 1e-3) > val
-
-
-def test_linear_model():
-    assert linear_eh(LIN, 10e-3) == pytest.approx(5e-3, rel=1e-15)
-    assert linear_eh(LIN, 0.0) == 0.0

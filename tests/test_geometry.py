@@ -64,6 +64,11 @@ def test_element_lambert_m_autofilled():
     assert e.lambert_m == pytest.approx(lambert_mode(17 * DEG), rel=0)
 
 
+def test_element_lambert_m_is_not_settable():
+    with pytest.raises(TypeError):
+        OpticalElement(np.array([0.0, 0.0, -1.0]), 17 * DEG, lambert_m=1.0)
+
+
 def test_element_rejects_non_unit_boresight():
     with pytest.raises(ScenarioError):
         OpticalElement(np.array([0.0, 0.0, -2.0]), 17 * DEG)

@@ -36,7 +36,7 @@ def test_subrf_split_cases():
     assert out.vlc_target == pytest.approx(2e-3, rel=1e-12)
     # cap plus best-case light cannot cover the demand
     out = solve_subrf(10e-3, WORST_MAX_EH, WORST_MIN_EH, 5e-3)
-    assert not out.feasible and out.slack < 0
+    assert not out.feasible and out.rf_target == 0.0 and out.vlc_target == 10e-3
 
 
 def test_bias_root_frozen(scenario):
@@ -124,7 +124,7 @@ def test_solution_reference_point(scenario):
     # the split leaves the light side exactly the midpoint harvest, so the
     # bias stays at the swing-maximizing point
     assert sol.bias == scenario.bias.midpoint
-    assert sol.ac_swing == pytest.approx(scenario.bias.max_swing, rel=1e-15)
+    assert sol.ac_swing == pytest.approx(scenario.bias.high - scenario.bias.midpoint, rel=1e-15)
     assert sol.rf_targets[3] == pytest.approx(0.00260996617599, rel=1e-10)
     assert not sol.fallback_used
     np.testing.assert_allclose(sol.light_harvests + sol.rf_targets,

@@ -26,6 +26,15 @@ def test_matches_scipy_reference():
     np.testing.assert_allclose(ours, ref, rtol=1e-12, atol=1e-15)
 
 
+def test_array_gives_each_element_its_scalar_bits():
+    # c10's grid plus log-uniform draws over eighteen decades
+    rng = np.random.default_rng(5)
+    xs = np.concatenate([np.logspace(-6, 6, 400), 10.0 ** rng.uniform(-6, 12, 1600)])
+    scalar = np.array([lambert_w0(float(x)) for x in xs])
+    assert np.array_equal(lambert_w0(xs), scalar)
+    assert np.array_equal(lambert_w0(xs.reshape(40, 50)), scalar.reshape(40, 50))
+
+
 def test_scalar_and_array_shapes():
     assert isinstance(lambert_w0(2.0), float)
     out = lambert_w0(np.array([[1.0, 2.0], [3.0, 4.0]]))

@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import datetime
 from importlib import resources
 
@@ -33,8 +34,8 @@ def test_parse_quantity_rejects_garbage():
 
 
 def test_default_scenario_shape(scenario):
-    assert scenario.n_transmitters == 4
-    assert scenario.n_devices == 5
+    assert len(scenario.transmitters) == 4
+    assert len(scenario.devices) == 5
     assert all(len(t.elements) == 7 for t in scenario.transmitters)
     assert scenario.rf_ap.antennas == 6
     assert scenario.room_size.tolist() == [5.0, 5.0, 3.0]
@@ -72,19 +73,39 @@ def test_seed_override_changes_seed_and_hash(scenario):
                                   scenario.devices[0].position)
 
 
-def test_load_scenario_matches_bundled(tmp_path, scenario):
+def _same(a, b):
+    """Field-by-field equality of resolved scenario values, arrays bit for bit."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, (tuple, list)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return type(a) is type(b) and a == b
+
+
+def test_load_scenario_matches_bundled(tmp_path):
     text = resources.files("attocell").joinpath("data/default_scenario.yaml").read_text()
     path = tmp_path / "scn.yaml"
     path.write_text(text)
-    loaded = load_scenario(path)
-    assert loaded.hash == scenario.hash
-    overridden = load_scenario(path, seed=12345)
-    assert overridden.seed == 12345
+    for seed in (None, 0, 12345):
+        loaded, bundled = load_scenario(path, seed=seed), default_scenario(seed=seed)
+        assert loaded.hash == bundled.hash
+        assert _same(loaded, bundled)
+    assert loaded.seed == 12345
 
 
 def test_load_scenario_missing_file(tmp_path):
     with pytest.raises(ScenarioError):
         load_scenario(tmp_path / "nope.yaml")
+
+
+def test_invalid_yaml_error_names_the_file(tmp_path):
+    path = tmp_path / "broken.yaml"
+    path.write_text("room: [1\n")
+    with pytest.raises(ScenarioError, match=r"(?s)invalid YAML.*broken\.yaml"):
+        load_scenario(path)
 
 
 def _bundled_cfg():
