@@ -7,7 +7,7 @@ harvesting branch, and an RF transmitter tops devices up via energy
 beamforming.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -36,15 +36,15 @@ class DriveParams:
     responsivity: float  # A/W at the detector
     leds_per_color: int
     led_voltage: float  # V
+    # current-domain gain nu * N * V applied to the drive current; stored,
+    # since every harvest and SNR evaluation reads it
+    conversion: float = field(init=False)
 
     def __post_init__(self):
         if self.responsivity <= 0 or self.led_voltage <= 0 or self.leds_per_color < 1:
             raise ValueError("drive parameters must be positive")
-
-    @property
-    def conversion(self):
-        """Current-domain gain nu * N * V applied to the drive current."""
-        return self.responsivity * self.leds_per_color * self.led_voltage
+        object.__setattr__(self, "conversion",
+                           self.responsivity * self.leds_per_color * self.led_voltage)
 
 
 @dataclass(frozen=True)
@@ -111,18 +111,23 @@ def vlc_snr(drive, serving_gain, ac_swing, noise_power):
 
     Returns -inf when the swing is zero so callers can rank
     degenerate all-harvest operating points without special cases.
+    Broadcasts over arrays of gains and swings, element by element.
     """
-    if ac_swing <= 0.0:
-        return -np.inf
     s = drive.conversion * serving_gain * ac_swing
-    return s * s / noise_power
+    snr = s * s / noise_power
+    if isinstance(snr, np.ndarray):
+        return np.where(ac_swing <= 0.0, -np.inf, snr)
+    return -np.inf if ac_swing <= 0.0 else snr
 
 
 def vlc_snr_db(drive, serving_gain, ac_swing, noise_power):
+    """``vlc_snr`` in dB; a nonpositive SNR gives -inf.  Broadcasts."""
     snr = vlc_snr(drive, serving_gain, ac_swing, noise_power)
-    if snr <= 0.0:
-        return -np.inf
-    return 10.0 * np.log10(snr)
+    if isinstance(snr, np.ndarray):
+        # the masked entries' logarithms are never read
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(snr <= 0.0, -np.inf, 10.0 * np.log10(snr))
+    return -np.inf if snr <= 0.0 else 10.0 * np.log10(snr)
 
 
 def generated_current(drive, gain_sum, bias):
@@ -134,14 +139,24 @@ def generated_current(drive, gain_sum, bias):
 
 
 def open_circuit_voltage(params, current):
-    """V_oc = V_t ln(1 + I_G / I_D); log1p keeps small currents accurate."""
-    if current < 0:
+    """V_oc = V_t ln(1 + I_G / I_D); log1p keeps small currents accurate.
+
+    A negative scalar current raises ValueError.  An array of currents
+    broadcasts unchecked: its caller makes sure of their signs once,
+    since an ``np.any`` here would run on every harvest a bias search
+    evaluates.
+    """
+    if not isinstance(current, np.ndarray) and current < 0:
         raise ValueError("photocurrent must be nonnegative")
     return params.thermal_voltage * np.log1p(current / params.dark_current)
 
 
 def vlc_harvested_power(drive, eh_params, gain_sum, bias):
-    """Light-energy harvest f * I_G * V_oc(I_G) at the given DC bias."""
+    """Light-energy harvest f * I_G * V_oc(I_G) at the given DC bias.
+
+    Broadcasts over arrays of gain sums and biases, element by element;
+    see ``open_circuit_voltage`` for the sign check.
+    """
     ig = generated_current(drive, gain_sum, bias)
     return eh_params.fill_factor * ig * open_circuit_voltage(eh_params, ig)
 

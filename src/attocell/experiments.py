@@ -20,7 +20,7 @@ from .channels import build_vlc_matrix, sample_rf_channel
 from .energy import vlc_harvested_power, vlc_snr_db
 from .errors import InfeasibleError, SolverStallError, TargetUnreachableError
 from .illumination import illuminance_map
-from .lightwave import solve_op1
+from .lightwave import solve_op1, solve_op1_grid
 from .orchestrator import run_centralized, run_semi_decentralized
 
 __all__ = [
@@ -103,48 +103,48 @@ def exp_snr_eh_region(scenario, n_points=201):
     Sweeps the DC bias from the swing-maximizing midpoint up to the top
     of the range.  The swing at each bias is what is left to the signal,
     so the curve is the boundary of the per-user (SNR, harvest) region.
+    Rows run user-major, each user over the whole bias sweep.
     """
     matrix = build_vlc_matrix(scenario.transmitters, scenario.devices)
-    serving = matrix.serving_gains()
-    sums = matrix.gain_sums()
+    serving = matrix.serving_gains()[:, None]
+    sums = matrix.gain_sums()[:, None]
     biases = np.linspace(scenario.bias.midpoint, scenario.bias.high, n_points)
-    cols = {"user": [], "bias_a": [], "snr_db": [], "light_eh_w": []}
-    for j in range(matrix.n_devices):
-        for b in biases:
-            swing = scenario.bias.swing_at(b)
-            cols["user"].append(j)
-            cols["bias_a"].append(float(b))
-            cols["snr_db"].append(vlc_snr_db(scenario.drive, serving[j], swing,
-                                             scenario.noise_power))
-            cols["light_eh_w"].append(vlc_harvested_power(
-                scenario.drive, scenario.vlc_eh, sums[j], b))
-    n = len(cols["user"])
-    cols.update(_provenance(scenario, n, "direct"))
+    swing = scenario.bias.high - biases  # BiasLimits.swing_at, inside its range
+    # a built matrix's gains and these biases are nonnegative: the array
+    # harvest needs no sign check
+    snr_db = vlc_snr_db(scenario.drive, serving, swing, scenario.noise_power)
+    light_eh = vlc_harvested_power(scenario.drive, scenario.vlc_eh, sums, biases)
+    cols = {"user": np.repeat(np.arange(matrix.n_devices), n_points).tolist(),
+            "bias_a": np.tile(biases, matrix.n_devices).tolist(),
+            "snr_db": snr_db.ravel().tolist(),
+            "light_eh_w": light_eh.ravel().tolist()}
+    cols.update(_provenance(scenario, len(cols["user"]), "direct"))
     return ExperimentResult(name="snr_eh_region", columns=cols,
                             meta={"n_points": n_points})
 
 
 def exp_feasibility_vs_theta(scenario, theta_grid=None, rf_levels=None):
-    """Feasibility flag and achieved min SNR over a demand/cap grid."""
+    """Feasibility flag and achieved min SNR over a demand/cap grid.
+
+    Rows run cap-major.  All (theta, cap) points are solved in one
+    ``solve_op1_grid`` pass; each row equals its scalar bisection
+    ``solve_op1`` call.
+    """
     if theta_grid is None:
         theta_grid = DEFAULT_THETA_GRID
     if rf_levels is None:
         rf_levels = DEFAULT_RF_LEVELS
     matrix = build_vlc_matrix(scenario.transmitters, scenario.devices)
-    cols = {"theta_w": [], "rf_cap_w": [], "feasible": [], "min_snr_db": [],
-            "bias_a": []}
-    for cap in np.asarray(rf_levels, dtype=float):
-        for theta in np.asarray(theta_grid, dtype=float):
-            sol = solve_op1(matrix, scenario.drive, scenario.vlc_eh,
-                            scenario.bias, scenario.noise_power,
-                            float(theta), float(cap))
-            cols["theta_w"].append(float(theta))
-            cols["rf_cap_w"].append(float(cap))
-            cols["feasible"].append(bool(sol.feasible))
-            cols["min_snr_db"].append(sol.min_snr_db if sol.feasible else -np.inf)
-            cols["bias_a"].append(sol.bias if sol.feasible else np.nan)
-    n = len(cols["theta_w"])
-    cols.update(_provenance(scenario, n, "bisection"))
+    caps, thetas = (a.ravel() for a in np.meshgrid(
+        np.asarray(rf_levels, dtype=float), np.asarray(theta_grid, dtype=float),
+        indexing="ij"))
+    feasible, bias, min_snr_db = solve_op1_grid(
+        matrix.serving_gains(), matrix.gain_sums(), scenario.drive, scenario.vlc_eh,
+        scenario.bias, scenario.noise_power, thetas, caps)
+    cols = {"theta_w": thetas.tolist(), "rf_cap_w": caps.tolist(),
+            "feasible": feasible.tolist(), "min_snr_db": min_snr_db.tolist(),
+            "bias_a": bias.tolist()}
+    cols.update(_provenance(scenario, len(thetas), "bisection"))
     return ExperimentResult(name="feasibility_vs_theta", columns=cols,
                             meta={"n_theta": len(theta_grid),
                                   "n_levels": len(rf_levels)})

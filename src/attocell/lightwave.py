@@ -10,7 +10,9 @@ as the worst-off device allows.
 Two routes to the optimal bias are provided: a bisection on the exact
 harvest curve, and a closed form through the Lambert W function of the
 log-linearized curve.  They must stay within a hair of each other; the
-test suite enforces that.
+test suite enforces that.  ``solve_op1_grid`` runs the bisection route
+over many (demand, cap) lanes at once, each lane giving its scalar
+call's bits.
 """
 
 from dataclasses import dataclass
@@ -30,7 +32,10 @@ __all__ = [
     "LightwaveSolution",
     "solve_op1",
     "solve_op1_from_gains",
+    "solve_op1_grid",
 ]
+
+BISECTION_TOL = 1e-7  # A, default bias tolerance of the bisection route
 
 
 def identify_worst_user(serving_gains):
@@ -67,7 +72,8 @@ def solve_subrf(theta, max_light_eh, min_light_eh, rf_cap):
     return SubRfOutcome(feasible=True, rf_target=rf, vlc_target=vlc)
 
 
-def solve_bias_bisection(drive, eh_params, gain_sum, target, bias_limits, tol=1e-7):
+def solve_bias_bisection(drive, eh_params, gain_sum, target, bias_limits,
+                         tol=BISECTION_TOL):
     """Smallest DC bias whose light harvest meets ``target``.
 
     Bisects on [midpoint, high] keeping the upper endpoint feasible and
@@ -141,7 +147,8 @@ def _infeasible(theta, rf_cap, n_dev, worst, method):
 
 
 def solve_op1_from_gains(serving_gains, gain_sums, drive, vlc_eh, bias_limits,
-                         noise_power, theta, rf_cap, method="bisection", tol=1e-7):
+                         noise_power, theta, rf_cap, method="bisection",
+                         tol=BISECTION_TOL):
     """Max-min SNR allocation from per-device gain summaries.
 
     Only two numbers per device enter the optimization: the serving
@@ -159,10 +166,7 @@ def solve_op1_from_gains(serving_gains, gain_sums, drive, vlc_eh, bias_limits,
     """
     if method not in ("bisection", "closed_form"):
         raise ValueError(f"unknown bias method {method!r}")
-    serving = np.asarray(serving_gains, dtype=float)
-    sums = np.asarray(gain_sums, dtype=float)
-    if serving.shape != sums.shape or serving.ndim != 1:
-        raise ValueError("serving gains and gain sums must be matching 1-d arrays")
+    serving, sums = _gain_summaries(serving_gains, gain_sums)
     n_dev = len(sums)
 
     def attempt(worst):
@@ -207,6 +211,91 @@ def solve_op1_from_gains(serving_gains, gain_sums, drive, vlc_eh, bias_limits,
         min_snr_db=float(vlc_snr_db(drive, serving[min_idx], swing, noise_power)),
         method=method, theta=theta, rf_cap=rf_cap, fallback_used=fallback_used,
         light_target=float(light_target))
+
+
+def _gain_summaries(serving_gains, gain_sums):
+    """The two gain summaries as matching 1-d float arrays."""
+    serving = np.asarray(serving_gains, dtype=float)
+    sums = np.asarray(gain_sums, dtype=float)
+    if serving.shape != sums.shape or serving.ndim != 1:
+        raise ValueError("serving gains and gain sums must be matching 1-d arrays")
+    return serving, sums
+
+
+def _bisect_lanes(drive, vlc_eh, gain_sum, targets, bias_limits):
+    """``solve_bias_bisection`` on one gain sum for an array of targets.
+
+    Each lane keeps its own ``lo``/``hi`` and leaves the loop at the step
+    where its scalar call returns, so it takes that call's midpoints and
+    ends on its bias.
+    """
+    lo = np.full(targets.shape, bias_limits.midpoint)
+    hi = np.full(targets.shape, bias_limits.high)
+    top = bias_limits.high
+    early = targets <= vlc_harvested_power(drive, vlc_eh, gain_sum, bias_limits.midpoint)
+    hi[early] = bias_limits.midpoint
+    lane = np.flatnonzero(~early)
+    if np.any(targets[lane] > vlc_harvested_power(drive, vlc_eh, gain_sum, top)):
+        raise TargetUnreachableError(
+            f"light harvest target {targets[lane].max()} W above reach {top} A bias")
+    while lane.size:
+        a, b = lo[lane], hi[lane]
+        mid = 0.5 * (a + b)
+        go = ~(((b - a <= BISECTION_TOL) & (b < top)) | (mid == a) | (mid == b))
+        lane, mid = lane[go], mid[go]
+        meets = vlc_harvested_power(drive, vlc_eh, gain_sum, mid) >= targets[lane]
+        hi[lane[meets]] = mid[meets]
+        lo[lane[~meets]] = mid[~meets]
+    return hi
+
+
+def solve_op1_grid(serving_gains, gain_sums, drive, vlc_eh, bias_limits, noise_power,
+                   thetas, rf_caps):
+    """Bisection ``solve_op1_from_gains`` over lanes of (demand, RF cap).
+
+    Lane i holds ``thetas[i]`` and ``rf_caps[i]``, which broadcast to one
+    1-d shape.  A lane gets the feasibility, bias and min SNR in dB of
+    its scalar call, bit for bit: the same worst-user try and gain-sum
+    fallback, the same bisection midpoints and stops.  Lanes whose split
+    fails never enter the bisection.
+
+    Returns:
+        (feasible, bias, min_snr_db) arrays; an infeasible lane has bias
+        nan and min SNR -inf.
+    """
+    serving, sums = _gain_summaries(serving_gains, gain_sums)
+    # the sign check each scalar harvest makes, once for every lane and step
+    if np.any(sums < 0):
+        raise ValueError("gain sums must be nonnegative")
+    thetas, caps = np.broadcast_arrays(np.asarray(thetas, dtype=float),
+                                       np.asarray(rf_caps, dtype=float))
+    if thetas.ndim != 1:
+        raise ValueError("demands and caps must broadcast to one 1-d grid")
+    feasible = np.zeros(thetas.shape, dtype=bool)
+    bias = np.full(thetas.shape, np.nan)
+    pending = np.arange(thetas.size)  # lanes still to try
+    for worst in (identify_worst_user(serving), int(np.argmin(sums))):
+        theta, cap = thetas[pending], caps[pending]
+        max_eh = vlc_harvested_power(drive, vlc_eh, sums[worst], bias_limits.high)
+        min_eh = vlc_harvested_power(drive, vlc_eh, sums[worst], bias_limits.midpoint)
+        # solve_subrf lane by lane; a lane it rejects is not tried again
+        split = ~(cap - (theta - max_eh) < 0)
+        pending, theta, cap = pending[split], theta[split], cap[split]
+        # its light target min(theta, max(theta - cap, min_eh)), with the
+        # ties of Python's min and max
+        floor = np.where(min_eh > theta - cap, min_eh, theta - cap)
+        target = np.where(floor < theta, floor, theta)
+        tried = _bisect_lanes(drive, vlc_eh, sums[worst], target, bias_limits)
+        harvests = vlc_harvested_power(drive, vlc_eh, sums[:, None], tried)
+        broke = np.any(theta - harvests > cap, axis=0)  # retried on the fallback
+        feasible[pending[~broke]] = True
+        bias[pending[~broke]] = tried[~broke]
+        pending = pending[broke]
+    min_snr_db = np.full(thetas.shape, -np.inf)
+    swing = bias_limits.high - bias[feasible]
+    weakest = serving[np.argmin(vlc_snr(drive, serving[:, None], swing, noise_power), axis=0)]
+    min_snr_db[feasible] = vlc_snr_db(drive, weakest, swing, noise_power)
+    return feasible, bias, min_snr_db
 
 
 def solve_op1(matrix, drive, vlc_eh, bias_limits, noise_power, theta, rf_cap,

@@ -43,6 +43,10 @@ _UNIT_SCALE = {
     "m2": 1.0, "cm2": 1e-4, "mm2": 1e-6,
 }
 
+# libyaml's parser when PyYAML was built with it; it builds the same
+# tree as the pure-Python SafeLoader, several times faster
+_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 _QTY_RE = re.compile(
     r"^\s*([-+]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?)\s*([A-Za-z2]*)\s*$")
 
@@ -79,14 +83,15 @@ def _mapping(node, where):
 
 
 def _require(cfg, key, where, kind=None):
-    """``cfg[key]``, passed through ``kind`` if given; a wrong shape names the key."""
+    """``cfg[key]``, passed through ``kind`` if given; a wrong shape or a
+    bad quantity names the key."""
     if key not in _mapping(cfg, where):
         raise ScenarioError(f"missing key {key!r} in {where}")
     if kind is None:
         return cfg[key]
     try:
         return kind(cfg[key])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, ScenarioError) as exc:
         raise ScenarioError(f"{key!r} in {where}: {exc}") from exc
 
 
@@ -145,25 +150,25 @@ def _resolve(cfg):
     positions = _require(opt, "transmitters", "optical",
                          lambda ps: [np.asarray(_qty_list(p), dtype=float) for p in _list(ps)])
     n_el = _require(opt, "elements_per_transmitter", "optical", int)
-    semiangle = parse_quantity(_require(opt, "semiangle", "optical"))
-    tilt = parse_quantity(_require(opt, "ring_tilt", "optical"))
+    semiangle = _require(opt, "semiangle", "optical", parse_quantity)
+    tilt = _require(opt, "ring_tilt", "optical", parse_quantity)
     offsets = _require(opt, "ring_azimuth_offsets", "optical", _qty_list)
     if len(offsets) != len(positions):
         raise ScenarioError("need one ring azimuth offset per transmitter")
-    bias = BiasLimits(parse_quantity(_require(opt, "bias_low", "optical")),
-                      parse_quantity(_require(opt, "bias_high", "optical")))
+    bias = BiasLimits(_require(opt, "bias_low", "optical", parse_quantity),
+                      _require(opt, "bias_high", "optical", parse_quantity))
     efficacy = _require(opt, "efficacy", "optical", float)
 
     det_cfg = _require(cfg, "detector", "scenario")
     detector = Photodetector(
-        area=parse_quantity(_require(det_cfg, "area", "detector")),
-        fov=parse_quantity(_require(det_cfg, "fov", "detector")),
+        area=_require(det_cfg, "area", "detector", parse_quantity),
+        fov=_require(det_cfg, "fov", "detector", parse_quantity),
         refractive_index=_require(det_cfg, "refractive_index", "detector", float),
     )
     drive = DriveParams(
-        responsivity=parse_quantity(_require(det_cfg, "responsivity", "detector")),
+        responsivity=_require(det_cfg, "responsivity", "detector", parse_quantity),
         leds_per_color=_require(opt, "leds_per_color", "optical", int),
-        led_voltage=parse_quantity(_require(opt, "led_voltage", "optical")),
+        led_voltage=_require(opt, "led_voltage", "optical", parse_quantity),
     )
 
     transmitters = []
@@ -182,9 +187,10 @@ def _resolve(cfg):
             ti = _require(dev_cfg, "transmitter", f"device {k}", int)
             if not (0 <= ti < len(transmitters)):
                 raise ScenarioError(f"device {k} references transmitter {ti}")
-            dist = parse_quantity(_require(dev_cfg, "distance", f"device {k}"))
-            bearing = parse_quantity(_require(dev_cfg, "bearing", f"device {k}"))
-            height = parse_quantity(dev_cfg.get("height", 1.0))
+            dist = _require(dev_cfg, "distance", f"device {k}", parse_quantity)
+            bearing = _require(dev_cfg, "bearing", f"device {k}", parse_quantity)
+            height = (_require(dev_cfg, "height", f"device {k}", parse_quantity)
+                      if "height" in dev_cfg else 1.0)
             drop = transmitters[ti].position[2] - height
             if dist < drop:
                 raise ScenarioError(f"device {k} distance {dist} shorter than the vertical drop")
@@ -200,8 +206,8 @@ def _resolve(cfg):
     eh_cfg = _require(cfg, "vlc_harvest", "scenario")
     vlc_eh = VlcEhParams(
         fill_factor=_require(eh_cfg, "fill_factor", "vlc_harvest", float),
-        thermal_voltage=parse_quantity(_require(eh_cfg, "thermal_voltage", "vlc_harvest")),
-        dark_current=parse_quantity(_require(eh_cfg, "dark_current", "vlc_harvest")),
+        thermal_voltage=_require(eh_cfg, "thermal_voltage", "vlc_harvest", parse_quantity),
+        dark_current=_require(eh_cfg, "dark_current", "vlc_harvest", parse_quantity),
     )
 
     rf_cfg = _require(cfg, "rf", "scenario")
@@ -211,19 +217,19 @@ def _resolve(cfg):
     )
     rician = _require(rf_cfg, "rician_factor_db", "rf", float)
     ple = _require(rf_cfg, "path_loss_exponent", "rf", float)
-    cap = parse_quantity(_require(rf_cfg, "exposure_cap", "rf"))
+    cap = _require(rf_cfg, "exposure_cap", "rf", parse_quantity)
     if cap <= 0:
         raise ScenarioError("rf exposure cap must be positive")
 
     rfh_cfg = _require(cfg, "rf_harvest", "scenario")
     rf_nonlinear = NonlinearEhParams(
-        max_harvest=parse_quantity(_require(rfh_cfg, "max_harvest", "rf_harvest")),
+        max_harvest=_require(rfh_cfg, "max_harvest", "rf_harvest", parse_quantity),
         steepness=_require(rfh_cfg, "steepness", "rf_harvest", float),
-        turn_on=parse_quantity(_require(rfh_cfg, "turn_on", "rf_harvest")),
+        turn_on=_require(rfh_cfg, "turn_on", "rf_harvest", parse_quantity),
     )
     rf_linear = LinearEhParams(efficiency=_require(rfh_cfg, "linear_efficiency", "rf_harvest", float))
 
-    noise = parse_quantity(_require(cfg, "noise_power", "scenario"))
+    noise = _require(cfg, "noise_power", "scenario", parse_quantity)
     if noise <= 0:
         raise ScenarioError("noise power must be positive")
 
@@ -239,7 +245,7 @@ def _resolve(cfg):
 def _parse(source, seed):
     """The one parse step for scenario YAML, bundled text or a user's open file."""
     try:
-        cfg = yaml.safe_load(source)
+        cfg = yaml.load(source, Loader=_LOADER)
     except yaml.YAMLError as exc:
         raise ScenarioError(f"invalid YAML: {exc}") from exc
     _mapping(cfg, "scenario root")
@@ -251,10 +257,12 @@ def _parse(source, seed):
 def load_scenario(path, seed=None):
     """Read and resolve a YAML scenario file; ``seed`` overrides the file's."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             return _parse(fh, seed)
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"scenario file {path} is not UTF-8: {exc}") from exc
 
 
 def default_scenario(seed=None):

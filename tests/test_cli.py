@@ -259,6 +259,11 @@ def test_unlit_device_is_config_error(tmp_path, capsys, unlit_config, argv):
     pytest.param(("optical", "elements_per_transmitter"), [7], "elements_per_transmitter",
                  id="optical.elements_per_transmitter=[7]"),
     pytest.param(("seed",), [1], "seed", id="seed=[1]"),
+    pytest.param(("optical", "semiangle"), [1], "semiangle", id="optical.semiangle=[1]"),
+    pytest.param(("devices", 0, "height"), [1], "'height' in device 0",
+                 id="devices[0].height=[1]"),
+    pytest.param(("rf", "exposure_cap"), "6 furlongs", "exposure_cap",
+                 id="rf.exposure_cap=6 furlongs"),
 ])
 def test_malformed_structure_is_config_error(tmp_path, capsys, path, value, named):
     cfg = yaml.safe_load(resources.files("attocell").joinpath(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -5,11 +6,14 @@ import pytest
 
 import attocell.experiments as experiments
 from attocell.beamforming import solve_aggregate_sdp_batch
+from attocell.channels import build_vlc_matrix
+from attocell.energy import vlc_harvested_power, vlc_snr_db
 from attocell.errors import InfeasibleError, SolverStallError
 from attocell.experiments import (ExperimentResult, exp_eh_allocation,
                                   exp_feasibility_vs_theta, exp_illuminance,
                                   exp_rf_power, exp_snr_eh_region,
                                   exp_subopt_gap)
+from attocell.lightwave import solve_op1
 from attocell.scenario import default_scenario
 
 PROVENANCE = ("scenario_hash", "seed", "solver")
@@ -66,6 +70,57 @@ def test_region_experiment(scenario):
         assert np.all(np.diff(eh[mask]) > 0)
         finite = snr[mask][np.isfinite(snr[mask])]
         assert np.all(np.diff(finite) < 0)
+
+
+def _jittered(scenario, k):
+    """The scenario with every device moved up to 0.5 m in x and y, draw ``k``."""
+    shift = np.random.default_rng(k).uniform(-0.5, 0.5, (len(scenario.devices), 2))
+    return dataclasses.replace(scenario, devices=tuple(
+        dataclasses.replace(d, position=d.position + np.append(s, 0.0))
+        for d, s in zip(scenario.devices, shift)))
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_region_rows_equal_scalar_points(scenario):
+    for sc in [scenario] + [_jittered(scenario, k) for k in range(1, 6)]:
+        matrix = build_vlc_matrix(sc.transmitters, sc.devices)
+        res = exp_snr_eh_region(sc)
+        cols = res.columns
+        assert res.n_rows == 5 * 201
+        snr, eh = [], []
+        for user, bias in zip(cols["user"], cols["bias_a"]):
+            swing = sc.bias.swing_at(bias)
+            snr.append(vlc_snr_db(sc.drive, matrix.serving_gains()[user], swing,
+                                  sc.noise_power))
+            eh.append(vlc_harvested_power(sc.drive, sc.vlc_eh, matrix.gain_sums()[user],
+                                          bias))
+        assert _bits(cols["snr_db"]) == _bits(snr)
+        assert _bits(cols["light_eh_w"]) == _bits(eh)
+        top = np.array(cols["bias_a"]) == sc.bias.high
+        assert top.sum() == 5 and np.all(np.array(cols["snr_db"])[top] == -np.inf)
+
+
+def test_feasibility_rows_equal_scalar_solves(scenario):
+    """The one-pass grid against a scalar bisection solve per row, bit for
+    bit, over the bundled layout and 200 jittered ones."""
+    fallback = infeasible = 0
+    for k in range(201):
+        sc = scenario if k == 0 else _jittered(scenario, k)
+        matrix = build_vlc_matrix(sc.transmitters, sc.devices)
+        cols = exp_feasibility_vs_theta(sc).columns
+        assert cols["theta_w"] == np.tile(experiments.DEFAULT_THETA_GRID, 4).tolist()
+        assert cols["rf_cap_w"] == np.repeat(experiments.DEFAULT_RF_LEVELS, 33).tolist()
+        sols = [solve_op1(matrix, sc.drive, sc.vlc_eh, sc.bias, sc.noise_power, theta, cap)
+                for theta, cap in zip(cols["theta_w"], cols["rf_cap_w"])]
+        assert cols["feasible"] == [sol.feasible for sol in sols]
+        assert _bits(cols["bias_a"]) == _bits([sol.bias for sol in sols])
+        assert _bits(cols["min_snr_db"]) == _bits([sol.min_snr_db for sol in sols])
+        fallback += sum(sol.fallback_used for sol in sols)
+        infeasible += sum(not sol.feasible for sol in sols)
+    assert fallback >= 1 and infeasible >= 1
 
 
 def test_feasibility_experiment(scenario):

@@ -6,7 +6,7 @@ from attocell.energy import vlc_harvested_power
 from attocell.errors import TargetUnreachableError
 from attocell.lightwave import (identify_worst_user, solve_bias_bisection,
                                 solve_bias_closed_form, solve_op1,
-                                solve_op1_from_gains, solve_subrf)
+                                solve_op1_from_gains, solve_op1_grid, solve_subrf)
 
 # bundled-deployment gain summaries, frozen from a high-precision recompute
 SERVING = np.array([0.0106074733595, 0.00678975718967, 0.0167553798163,
@@ -220,3 +220,34 @@ def test_subrf_light_target_exact_when_rf_covers_deficit():
     theta = np.linspace(0.0, 8e-3, 20)[13]
     out = solve_subrf(theta, WORST_MAX_EH, WORST_MIN_EH, 5e-3)
     assert out.vlc_target == WORST_MIN_EH
+
+
+def test_grid_lanes_equal_scalar_solves(scenario, vlc_matrix):
+    serving, sums = vlc_matrix.serving_gains(), vlc_matrix.gain_sums()
+    args = (scenario.drive, scenario.vlc_eh, scenario.bias, scenario.noise_power)
+    knee = min(vlc_harvested_power(scenario.drive, scenario.vlc_eh, s,
+                                   scenario.bias.high) for s in sums)
+    # no demand, the midpoint harvest, a root a hair below the top, past
+    # the knee with and without RF, and far out of reach
+    thetas = np.array([0.0, WORST_MIN_EH, knee * (1 - 1e-6), knee * (1 + 1e-6),
+                       knee * (1 + 1e-6), 4e-3, 50e-3])
+    caps = np.array([0.0, 0.0, 0.0, 0.0, 1e-3, 6e-3, 6e-3])
+    feasible, bias, min_snr_db = solve_op1_grid(serving, sums, *args, thetas, caps)
+    sols = [solve_op1_from_gains(serving, sums, *args, theta, cap)
+            for theta, cap in zip(thetas, caps)]
+    assert feasible.tolist() == [sol.feasible for sol in sols]
+    assert bias.tobytes() == np.array([sol.bias for sol in sols]).tobytes()
+    assert min_snr_db.tobytes() == np.array([sol.min_snr_db for sol in sols]).tobytes()
+    assert feasible.tolist() == [True, True, True, False, True, True, False]
+
+
+def test_grid_rejects_bad_inputs(scenario):
+    args = (scenario.drive, scenario.vlc_eh, scenario.bias, scenario.noise_power)
+    empty = solve_op1_grid(SERVING, SUMS, *args, np.array([]), 0.0)
+    assert [a.shape for a in empty] == [(0,)] * 3
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_op1_grid(SERVING, -SUMS, *args, [1e-3], 0.0)
+    with pytest.raises(ValueError, match="1-d"):
+        solve_op1_grid(SERVING, SUMS, *args, [[1e-3]], 0.0)
+    with pytest.raises(ValueError, match="nonnegative"):
+        solve_op1_from_gains(SERVING, -SUMS, *args, 1e-3, 0.0)

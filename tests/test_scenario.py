@@ -8,6 +8,7 @@ import pytest
 import yaml
 
 import attocell.scenario
+from attocell.cli import EXIT_CONFIG, main
 from attocell.errors import ScenarioError
 from attocell.geometry import OpticalElement
 from attocell.scenario import (_resolve, default_scenario, load_scenario,
@@ -101,11 +102,47 @@ def test_load_scenario_missing_file(tmp_path):
         load_scenario(tmp_path / "nope.yaml")
 
 
-def test_invalid_yaml_error_names_the_file(tmp_path):
+# the pure-Python loader, and libyaml's where PyYAML was built with it
+LOADERS = [yaml.SafeLoader] + [yaml.CSafeLoader] * hasattr(yaml, "CSafeLoader")
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda loader: loader.__name__)
+def test_invalid_yaml_error_names_the_file(tmp_path, capsys, monkeypatch, loader):
+    monkeypatch.setattr(attocell.scenario, "_LOADER", loader)
     path = tmp_path / "broken.yaml"
     path.write_text("room: [1\n")
     with pytest.raises(ScenarioError, match=r"(?s)invalid YAML.*broken\.yaml"):
         load_scenario(path)
+    assert main(["scenario", "validate", "--config", str(path)]) == EXIT_CONFIG
+    assert "broken.yaml" in capsys.readouterr().err
+
+
+def test_loaders_resolve_the_same_scenario(tmp_path, monkeypatch):
+    cfg = _bundled_cfg()
+    rng = np.random.default_rng(7)
+    positions = np.array([d.position for d in default_scenario().devices])
+    positions[:, :2] += rng.uniform(-0.5, 0.5, (len(positions), 2))
+    cfg["devices"] = [{"position": [float(v) for v in p]} for p in positions]
+    layout = tmp_path / "layout.yaml"
+    layout.write_text(yaml.safe_dump(cfg))
+    bundled = tmp_path / "bundled.yaml"
+    bundled.write_text(resources.files("attocell").joinpath(
+        "data/default_scenario.yaml").read_text())
+    hashes = set()
+    for loader in LOADERS:
+        monkeypatch.setattr(attocell.scenario, "_LOADER", loader)
+        hashes.add((load_scenario(bundled).hash, load_scenario(layout).hash))
+    assert len(hashes) == 1
+    assert hashes.pop()[0] == FROZEN_HASH
+
+
+def test_file_that_is_not_utf8_is_config_error(tmp_path, capsys):
+    path = tmp_path / "latin.yaml"
+    path.write_bytes(b"room: \xff\n")
+    with pytest.raises(ScenarioError, match=r"latin\.yaml.*not UTF-8"):
+        load_scenario(path)
+    assert main(["scenario", "validate", "--config", str(path)]) == EXIT_CONFIG
+    assert "latin.yaml" in capsys.readouterr().err
 
 
 def _bundled_cfg():
