@@ -7,7 +7,11 @@ OUT_DIR receives the six ``reproduce_all.py`` CSVs, the ``channels
 dump`` CSVs, ``solution.json`` from ``attocell solve --theta 4mW`` in
 direct mode (bisection and closed form), centralized and semi mode,
 both traces, and ``exp illuminance --format json``, plus
-``MANIFEST.sha256`` (``sha256sum`` format).  The artifacts come from
+``MANIFEST.sha256`` (``sha256sum`` format).  It also writes
+``jittered_layout.yaml``, the bundled scenario with its devices moved
+in x and y, where the light-side solve takes the worst-user fallback,
+and runs ``exp feasibility`` and ``solve --theta 7.25mW`` (semi mode,
+and direct mode with the closed form) on it.  The artifacts come from
 ``reproduce_all.main`` and ``attocell.cli.main``, so they match what
 those commands write.  Every file under OUT_DIR is hashed, so start
 from a new or empty directory.
@@ -27,9 +31,14 @@ import hashlib
 import itertools
 import os
 import sys
+from importlib import resources
+
+import numpy as np
+import yaml
 
 import reproduce_all
 from attocell import cli
+from attocell.scenario import default_scenario
 
 MANIFEST = "MANIFEST.sha256"
 THETA = "4mW"
@@ -44,16 +53,49 @@ COMMANDS = {
     "solve-semi": ["solve", "--theta", THETA, "--mode", "semi"],
     "exp": ["exp", "illuminance", "--format", "json"],
 }
+JITTERED = "jittered_layout.yaml"
+JITTERED_THETA = "7.25mW"
+# subdirectory -> attocell command line run on the jittered layout
+JITTERED_COMMANDS = {
+    "jittered-feasibility": ["exp", "feasibility"],
+    "jittered-solve-semi": ["solve", "--theta", JITTERED_THETA, "--mode", "semi"],
+    "jittered-solve-direct-closed_form": ["solve", "--theta", JITTERED_THETA,
+                                          "--mode", "direct", "--method", "closed_form"],
+}
+
+
+def write_jittered_layout(path):
+    """The bundled scenario with each device moved up to 0.5 m in x and y.
+
+    Its weakest-serving device is not its smallest-gain-sum device, so
+    some demands and caps take the light side's fallback.
+    """
+    sc = default_scenario()
+    shift = np.random.default_rng([7, 21]).uniform(-0.5, 0.5, (len(sc.devices), 2))
+    cfg = yaml.safe_load(resources.files("attocell").joinpath(
+        "data/default_scenario.yaml").read_text())
+    cfg["devices"] = [{"position": (d.position + np.append(s, 0.0)).tolist()}
+                      for d, s in zip(sc.devices, shift)]
+    with open(path, "w") as fh:
+        yaml.safe_dump(cfg, fh)
 
 
 def write_artifacts(out_dir, trials):
-    """Run reproduce_all and every command of COMMANDS into ``out_dir``."""
+    """Run reproduce_all, COMMANDS and JITTERED_COMMANDS into ``out_dir``."""
     with contextlib.redirect_stdout(sys.stderr):
         reproduce_all.main(["--trials", str(trials), "--out-dir", out_dir])
         for sub, argv in COMMANDS.items():
-            code = cli.main(argv + ["--out-dir", os.path.join(out_dir, sub)])
-            if code != cli.EXIT_OK:
-                raise SystemExit(f"attocell {' '.join(argv)} exited {code}")
+            _run(argv + ["--out-dir", os.path.join(out_dir, sub)])
+        config = os.path.join(out_dir, JITTERED)
+        write_jittered_layout(config)
+        for sub, argv in JITTERED_COMMANDS.items():
+            _run(argv + ["--config", config, "--out-dir", os.path.join(out_dir, sub)])
+
+
+def _run(argv):
+    code = cli.main(argv)
+    if code != cli.EXIT_OK:
+        raise SystemExit(f"attocell {' '.join(argv)} exited {code}")
 
 
 def write_manifest(out_dir):

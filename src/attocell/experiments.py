@@ -89,6 +89,12 @@ class ExperimentResult:
             fh.write("\n")
 
 
+def _require_count(name, value):
+    """Refuse a point or trial count below 1: its table would be empty or all NaN."""
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value}")
+
+
 def _provenance(scenario, n_rows, solver):
     return {
         "scenario_hash": [scenario.hash] * n_rows,
@@ -105,6 +111,7 @@ def exp_snr_eh_region(scenario, n_points=201):
     so the curve is the boundary of the per-user (SNR, harvest) region.
     Rows run user-major, each user over the whole bias sweep.
     """
+    _require_count("n_points", n_points)
     matrix = build_vlc_matrix(scenario.transmitters, scenario.devices)
     serving = matrix.serving_gains()[:, None]
     sums = matrix.gain_sums()[:, None]
@@ -190,6 +197,7 @@ def exp_rf_power(scenario, rf_levels=None, trials=100, theta=4e-3):
     normalised SDP target is solved once per draw, in one batch over the
     draws, and shared by every row whose targets it scales to.
     """
+    _require_count("trials", trials)
     if rf_levels is None:
         rf_levels = DEFAULT_RF_LEVELS
     matrix = build_vlc_matrix(scenario.transmitters, scenario.devices)
@@ -261,6 +269,7 @@ def exp_rf_power(scenario, rf_levels=None, trials=100, theta=4e-3):
 
 def gap_theta_grid(n_points=20):
     """The subopt-gap demand sweep: ``n_points`` demands evenly over 0-8 mW."""
+    _require_count("n_points", n_points)
     return np.linspace(0.0, 8e-3, n_points)
 
 

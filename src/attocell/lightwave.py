@@ -19,13 +19,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import vlc_harvested_power, vlc_snr, vlc_snr_db
+from .energy import vlc_harvested_power, vlc_snr_db
 from .errors import TargetUnreachableError
 from .numerics import lambert_w0
 
 __all__ = [
     "identify_worst_user",
-    "SubRfOutcome",
     "solve_subrf",
     "solve_bias_bisection",
     "solve_bias_closed_form",
@@ -43,15 +42,6 @@ def identify_worst_user(serving_gains):
     return int(np.argmin(np.asarray(serving_gains)))
 
 
-@dataclass(frozen=True)
-class SubRfOutcome:
-    """Feasibility split of the worst user's energy demand."""
-
-    feasible: bool
-    rf_target: float  # RF input assigned to the worst user, already capped
-    vlc_target: float  # remainder the light side must deliver
-
-
 def solve_subrf(theta, max_light_eh, min_light_eh, rf_cap):
     """Split the worst user's demand between light and RF harvest.
 
@@ -59,17 +49,27 @@ def solve_subrf(theta, max_light_eh, min_light_eh, rf_cap):
     top of the range) and at least ``min_light_eh`` (bias at the
     midpoint, the swing-maximizing point).  RF makes up the difference
     but may not exceed ``rf_cap``.  The split that maximizes the swing
-    uses as little bias as possible: RF gets min(theta - min_light_eh,
+    uses as little bias as possible: RF takes min(theta - min_light_eh,
     rf_cap), clamped at zero.  The light target is formed directly, not
     as theta - rf, since theta - (theta - x) need not round back to x:
     when RF covers the whole deficit the light side gets exactly
     ``min_light_eh``, which the midpoint bias meets.
+
+    Broadcasts over arrays; each element takes the ties of Python's
+    ``min(theta, max(theta - rf_cap, min_light_eh))``.
+
+    Returns:
+        (feasible, light_target): a bool and a float for scalar inputs,
+        arrays otherwise.  The light target means nothing where the
+        split is infeasible.
     """
-    if rf_cap - (theta - max_light_eh) < 0:
-        return SubRfOutcome(feasible=False, rf_target=0.0, vlc_target=theta)
-    rf = min(max(theta - min_light_eh, 0.0), rf_cap)
-    vlc = min(theta, max(theta - rf_cap, min_light_eh))
-    return SubRfOutcome(feasible=True, rf_target=rf, vlc_target=vlc)
+    short = rf_cap - (theta - max_light_eh) < 0
+    floor = theta - rf_cap
+    floor = np.where(min_light_eh > floor, min_light_eh, floor)
+    light = np.where(floor < theta, floor, theta)
+    if light.ndim:
+        return ~short, light
+    return not short, float(light)
 
 
 def solve_bias_bisection(drive, eh_params, gain_sum, target, bias_limits,
@@ -129,21 +129,12 @@ class LightwaveSolution:
     rf_targets: np.ndarray  # RF input assigned to each device, W
     light_harvests: np.ndarray  # light-side harvest of each device at the bias, W
     worst_user: int
-    min_snr: float
     min_snr_db: float
     method: str
     theta: float
     rf_cap: float
     fallback_used: bool = False
     light_target: float = np.nan  # light harvest the bias was solved for, W
-
-
-def _infeasible(theta, rf_cap, n_dev, worst, method):
-    return LightwaveSolution(
-        feasible=False, bias=np.nan, ac_swing=0.0,
-        rf_targets=np.zeros(n_dev), light_harvests=np.zeros(n_dev),
-        worst_user=worst, min_snr=-np.inf, min_snr_db=-np.inf,
-        method=method, theta=theta, rf_cap=rf_cap)
 
 
 def solve_op1_from_gains(serving_gains, gain_sums, drive, vlc_eh, bias_limits,
@@ -162,55 +153,44 @@ def solve_op1_from_gains(serving_gains, gain_sums, drive, vlc_eh, bias_limits,
     one of them would exceed the cap anyway, the worst role is
     reassigned to the device with the smallest total gain, whose
     harvest curve lower-bounds everyone else's, and the solve repeats
-    once.
+    once.  The SNR grows with the serving gain, so the weakest serving
+    gain also holds the min SNR.
     """
     if method not in ("bisection", "closed_form"):
         raise ValueError(f"unknown bias method {method!r}")
     serving, sums = _gain_summaries(serving_gains, gain_sums)
-    n_dev = len(sums)
-
-    def attempt(worst):
-        max_eh = vlc_harvested_power(drive, vlc_eh, sums[worst], bias_limits.high)
-        min_eh = vlc_harvested_power(drive, vlc_eh, sums[worst], bias_limits.midpoint)
-        sub = solve_subrf(theta, max_eh, min_eh, rf_cap)
-        if not sub.feasible:
-            return None
+    weakest = identify_worst_user(serving)
+    # the gain-sum argmin has the lowest harvest at any bias, so a bias
+    # feasible for it is feasible for everyone
+    for fallback_used, worst in ((False, weakest), (True, int(sums.argmin()))):
+        feasible, light_target = solve_subrf(
+            theta, vlc_harvested_power(drive, vlc_eh, sums[worst], bias_limits.high),
+            vlc_harvested_power(drive, vlc_eh, sums[worst], bias_limits.midpoint), rf_cap)
+        if not feasible:
+            break
         if method == "bisection":
-            bias = solve_bias_bisection(drive, vlc_eh, sums[worst], sub.vlc_target,
+            bias = solve_bias_bisection(drive, vlc_eh, sums[worst], light_target,
                                         bias_limits, tol=tol)
         else:
-            bias = solve_bias_closed_form(drive, vlc_eh, sums[worst], sub.vlc_target,
+            bias = solve_bias_closed_form(drive, vlc_eh, sums[worst], light_target,
                                           bias_limits)
-        harvests = np.array([
-            vlc_harvested_power(drive, vlc_eh, s, bias) for s in sums])
+        harvests = np.array([vlc_harvested_power(drive, vlc_eh, s, bias) for s in sums])
         raw = theta - harvests
-        if np.any(raw > rf_cap):
-            return "cap_violated"
-        return bias, harvests, np.clip(raw, 0.0, rf_cap), sub.vlc_target
-
-    worst = identify_worst_user(serving)
-    fallback_used = False
-    result = attempt(worst)
-    if result == "cap_violated":
-        # the gain-sum argmin has the lowest harvest at any bias, so a bias
-        # feasible for it is feasible for everyone
-        worst = int(np.argmin(sums))
-        fallback_used = True
-        result = attempt(worst)
-    if result is None or result == "cap_violated":
-        return _infeasible(theta, rf_cap, n_dev, worst, method)
-
-    bias, harvests, rf_targets, light_target = result
-    swing = bias_limits.swing_at(bias)
-    snrs = np.array([vlc_snr(drive, g, swing, noise_power) for g in serving])
-    min_idx = int(np.argmin(snrs))
+        if (raw > rf_cap).any():
+            continue
+        swing = bias_limits.swing_at(bias)
+        return LightwaveSolution(
+            feasible=True, bias=float(bias), ac_swing=float(swing),
+            rf_targets=raw.clip(0.0, rf_cap), light_harvests=harvests,
+            worst_user=worst,
+            min_snr_db=float(vlc_snr_db(drive, serving[weakest], swing, noise_power)),
+            method=method, theta=theta, rf_cap=rf_cap, fallback_used=fallback_used,
+            light_target=light_target)
+    n_dev = len(sums)
     return LightwaveSolution(
-        feasible=True, bias=float(bias), ac_swing=float(swing),
-        rf_targets=rf_targets, light_harvests=harvests,
-        worst_user=worst, min_snr=float(snrs[min_idx]),
-        min_snr_db=float(vlc_snr_db(drive, serving[min_idx], swing, noise_power)),
-        method=method, theta=theta, rf_cap=rf_cap, fallback_used=fallback_used,
-        light_target=float(light_target))
+        feasible=False, bias=np.nan, ac_swing=0.0, rf_targets=np.zeros(n_dev),
+        light_harvests=np.zeros(n_dev), worst_user=worst, min_snr_db=-np.inf,
+        method=method, theta=theta, rf_cap=rf_cap)
 
 
 def _gain_summaries(serving_gains, gain_sums):
@@ -274,27 +254,22 @@ def solve_op1_grid(serving_gains, gain_sums, drive, vlc_eh, bias_limits, noise_p
     feasible = np.zeros(thetas.shape, dtype=bool)
     bias = np.full(thetas.shape, np.nan)
     pending = np.arange(thetas.size)  # lanes still to try
-    for worst in (identify_worst_user(serving), int(np.argmin(sums))):
-        theta, cap = thetas[pending], caps[pending]
-        max_eh = vlc_harvested_power(drive, vlc_eh, sums[worst], bias_limits.high)
-        min_eh = vlc_harvested_power(drive, vlc_eh, sums[worst], bias_limits.midpoint)
-        # solve_subrf lane by lane; a lane it rejects is not tried again
-        split = ~(cap - (theta - max_eh) < 0)
-        pending, theta, cap = pending[split], theta[split], cap[split]
-        # its light target min(theta, max(theta - cap, min_eh)), with the
-        # ties of Python's min and max
-        floor = np.where(min_eh > theta - cap, min_eh, theta - cap)
-        target = np.where(floor < theta, floor, theta)
+    weakest = identify_worst_user(serving)
+    for worst in (weakest, int(np.argmin(sums))):
+        split, target = solve_subrf(
+            thetas[pending], vlc_harvested_power(drive, vlc_eh, sums[worst], bias_limits.high),
+            vlc_harvested_power(drive, vlc_eh, sums[worst], bias_limits.midpoint),
+            caps[pending])
+        pending, target = pending[split], target[split]  # a rejected lane is not retried
         tried = _bisect_lanes(drive, vlc_eh, sums[worst], target, bias_limits)
         harvests = vlc_harvested_power(drive, vlc_eh, sums[:, None], tried)
-        broke = np.any(theta - harvests > cap, axis=0)  # retried on the fallback
+        broke = np.any(thetas[pending] - harvests > caps[pending], axis=0)  # retried
         feasible[pending[~broke]] = True
         bias[pending[~broke]] = tried[~broke]
         pending = pending[broke]
     min_snr_db = np.full(thetas.shape, -np.inf)
-    swing = bias_limits.high - bias[feasible]
-    weakest = serving[np.argmin(vlc_snr(drive, serving[:, None], swing, noise_power), axis=0)]
-    min_snr_db[feasible] = vlc_snr_db(drive, weakest, swing, noise_power)
+    swing = bias_limits.high - bias[feasible]  # BiasLimits.swing_at, lane by lane
+    min_snr_db[feasible] = vlc_snr_db(drive, serving[weakest], swing, noise_power)
     return feasible, bias, min_snr_db
 
 

@@ -72,6 +72,14 @@ def _list(value):
     return value
 
 
+def _integer(value):
+    """``int(value)``, refusing a bool or a number with a fractional part
+    instead of truncating it."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def _qty_list(values):
     return [parse_quantity(v) for v in _list(values)]
 
@@ -140,7 +148,7 @@ def _resolved(node):
 
 
 def _resolve(cfg):
-    seed = _require(cfg, "seed", "scenario", int) if "seed" in cfg else 0
+    seed = _require(cfg, "seed", "scenario", _integer) if "seed" in cfg else 0
     room = np.asarray(_require(_require(cfg, "room", "scenario"), "size", "room", _qty_list),
                       dtype=float)
     if room.shape != (3,) or np.any(room <= 0):
@@ -149,7 +157,7 @@ def _resolve(cfg):
     opt = _require(cfg, "optical", "scenario")
     positions = _require(opt, "transmitters", "optical",
                          lambda ps: [np.asarray(_qty_list(p), dtype=float) for p in _list(ps)])
-    n_el = _require(opt, "elements_per_transmitter", "optical", int)
+    n_el = _require(opt, "elements_per_transmitter", "optical", _integer)
     semiangle = _require(opt, "semiangle", "optical", parse_quantity)
     tilt = _require(opt, "ring_tilt", "optical", parse_quantity)
     offsets = _require(opt, "ring_azimuth_offsets", "optical", _qty_list)
@@ -167,7 +175,7 @@ def _resolve(cfg):
     )
     drive = DriveParams(
         responsivity=_require(det_cfg, "responsivity", "detector", parse_quantity),
-        leds_per_color=_require(opt, "leds_per_color", "optical", int),
+        leds_per_color=_require(opt, "leds_per_color", "optical", _integer),
         led_voltage=_require(opt, "led_voltage", "optical", parse_quantity),
     )
 
@@ -184,7 +192,7 @@ def _resolve(cfg):
             pos = np.asarray(_require(dev_cfg, "position", f"device {k}", _qty_list), dtype=float)
         else:
             # shorthand: distance and compass bearing from a transmitter
-            ti = _require(dev_cfg, "transmitter", f"device {k}", int)
+            ti = _require(dev_cfg, "transmitter", f"device {k}", _integer)
             if not (0 <= ti < len(transmitters)):
                 raise ScenarioError(f"device {k} references transmitter {ti}")
             dist = _require(dev_cfg, "distance", f"device {k}", parse_quantity)
@@ -213,7 +221,7 @@ def _resolve(cfg):
     rf_cfg = _require(cfg, "rf", "scenario")
     rf_ap = RfAccessPoint(
         position=np.asarray(_require(rf_cfg, "access_point", "rf", _qty_list), dtype=float),
-        antennas=_require(rf_cfg, "antennas", "rf", int),
+        antennas=_require(rf_cfg, "antennas", "rf", _integer),
     )
     rician = _require(rf_cfg, "rician_factor_db", "rf", float)
     ple = _require(rf_cfg, "path_loss_exponent", "rf", float)

@@ -200,6 +200,21 @@ def test_exp_options_reach_the_runner(tmp_path, capsys):
     assert "n_points=201" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("experiment,option,count,named", [
+    ("rf-power", "--trials", "0", "trials"),
+    ("rf-power", "--trials", "-3", "trials"),
+    ("snr-eh-region", "--points", "0", "n_points"),
+    ("subopt-gap", "--points", "0", "n_points"),
+    ("subopt-gap", "--points", "-1", "n_points"),
+])
+def test_exp_count_below_one_is_config_error(tmp_path, capsys, experiment, option,
+                                            count, named):
+    code = main(["exp", experiment, option, count, "--out-dir", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert f"{named} must be at least 1, got {count}" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_exp_infeasible_exit_code(tmp_path):
     code = main(["exp", "eh-allocation", "--theta", "50mW",
                  "--out-dir", str(tmp_path)])
@@ -264,6 +279,20 @@ def test_unlit_device_is_config_error(tmp_path, capsys, unlit_config, argv):
                  id="devices[0].height=[1]"),
     pytest.param(("rf", "exposure_cap"), "6 furlongs", "exposure_cap",
                  id="rf.exposure_cap=6 furlongs"),
+    pytest.param(("rf", "antennas"), 6.9, "'antennas' in rf", id="rf.antennas=6.9"),
+    pytest.param(("rf", "antennas"), True, "'antennas' in rf", id="rf.antennas=true"),
+    pytest.param(("rf", "antennas"), float("inf"), "'antennas' in rf", id="rf.antennas=inf"),
+    pytest.param(("optical", "leds_per_color"), 40.7, "'leds_per_color' in optical",
+                 id="optical.leds_per_color=40.7"),
+    pytest.param(("optical", "elements_per_transmitter"), 7.5,
+                 "'elements_per_transmitter' in optical",
+                 id="optical.elements_per_transmitter=7.5"),
+    pytest.param(("seed",), True, "'seed' in scenario", id="seed=true"),
+    pytest.param(("seed",), 1.5, "'seed' in scenario", id="seed=1.5"),
+    pytest.param(("devices", 0, "transmitter"), 0.5, "'transmitter' in device 0",
+                 id="devices[0].transmitter=0.5"),
+    pytest.param(("devices", 0, "transmitter"), False, "'transmitter' in device 0",
+                 id="devices[0].transmitter=false"),
 ])
 def test_malformed_structure_is_config_error(tmp_path, capsys, path, value, named):
     cfg = yaml.safe_load(resources.files("attocell").joinpath(

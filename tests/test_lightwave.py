@@ -1,8 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from attocell.energy import vlc_harvested_power
+from attocell.channels import build_vlc_matrix
+from attocell.energy import vlc_harvested_power, vlc_snr_db
 from attocell.errors import TargetUnreachableError
 from attocell.lightwave import (identify_worst_user, solve_bias_bisection,
                                 solve_bias_closed_form, solve_op1,
@@ -23,20 +26,35 @@ def test_worst_user_is_weakest_serving_gain():
 
 
 def test_subrf_split_cases():
-    out = solve_subrf(4e-3, WORST_MAX_EH, WORST_MIN_EH, 5e-3)
-    assert out.feasible
-    assert out.rf_target == pytest.approx(4e-3 - WORST_MIN_EH, rel=1e-12)
-    assert out.vlc_target == pytest.approx(WORST_MIN_EH, rel=1e-12)
+    feasible, light = solve_subrf(4e-3, WORST_MAX_EH, WORST_MIN_EH, 5e-3)
+    assert feasible
+    assert light == pytest.approx(WORST_MIN_EH, rel=1e-12)
     # demand below what the midpoint already harvests: no RF at all
-    out = solve_subrf(1e-3, WORST_MAX_EH, WORST_MIN_EH, 5e-3)
-    assert out.feasible and out.rf_target == 0.0 and out.vlc_target == 1e-3
+    assert solve_subrf(1e-3, WORST_MAX_EH, WORST_MIN_EH, 5e-3) == (True, 1e-3)
     # cap binds but top-of-range light still covers the rest
-    out = solve_subrf(3e-3, WORST_MAX_EH, WORST_MIN_EH, 1e-3)
-    assert out.feasible and out.rf_target == 1e-3
-    assert out.vlc_target == pytest.approx(2e-3, rel=1e-12)
+    feasible, light = solve_subrf(3e-3, WORST_MAX_EH, WORST_MIN_EH, 1e-3)
+    assert feasible
+    assert light == pytest.approx(2e-3, rel=1e-12)
     # cap plus best-case light cannot cover the demand
-    out = solve_subrf(10e-3, WORST_MAX_EH, WORST_MIN_EH, 5e-3)
-    assert not out.feasible and out.rf_target == 0.0 and out.vlc_target == 10e-3
+    feasible, _ = solve_subrf(10e-3, WORST_MAX_EH, WORST_MIN_EH, 5e-3)
+    assert feasible is False
+
+
+def test_subrf_broadcasts_like_scalar_calls():
+    # the 5.47 and 5.89 mW tie rows sit among the 20-point sweep
+    thetas = np.concatenate([np.linspace(0.0, 8e-3, 20), [WORST_MIN_EH, 0.0, 10e-3]])
+    caps = np.array([0.0, 1e-3, 5e-3, 6e-3])[:, None]
+    feasible, light = solve_subrf(thetas, WORST_MAX_EH, WORST_MIN_EH, caps)
+    assert feasible.shape == light.shape == (4, len(thetas))
+    for i, cap in enumerate(caps[:, 0]):
+        for j, theta in enumerate(thetas):
+            ok, target = solve_subrf(float(theta), WORST_MAX_EH, WORST_MIN_EH, float(cap))
+            assert type(ok) is bool and type(target) is float
+            assert ok == feasible[i, j]
+            if ok:
+                assert target == light[i, j]
+    # both verdicts occur, so each was checked to be a real bool on floats
+    assert feasible.any() and not feasible.all()
 
 
 def test_bias_root_frozen(scenario):
@@ -150,7 +168,7 @@ def test_matrix_wrapper_bitwise(scenario, vlc_matrix):
         scenario.vlc_eh, scenario.bias, scenario.noise_power, 4e-3,
         scenario.rf_exposure_cap)
     assert direct.bias == from_gains.bias
-    assert direct.min_snr == from_gains.min_snr
+    assert direct.min_snr_db == from_gains.min_snr_db
     np.testing.assert_array_equal(direct.rf_targets, from_gains.rf_targets)
 
 
@@ -159,7 +177,6 @@ def test_infeasible_outcome(scenario):
     assert not sol.feasible
     assert np.isnan(sol.bias)
     assert np.isnan(sol.light_target)
-    assert sol.min_snr == -np.inf
     assert sol.min_snr_db == -np.inf
     assert np.all(sol.rf_targets == 0.0)
 
@@ -218,8 +235,7 @@ def test_bisection_not_below_closed_form_when_rf_covers_deficit(scenario, vlc_ma
 
 def test_subrf_light_target_exact_when_rf_covers_deficit():
     theta = np.linspace(0.0, 8e-3, 20)[13]
-    out = solve_subrf(theta, WORST_MAX_EH, WORST_MIN_EH, 5e-3)
-    assert out.vlc_target == WORST_MIN_EH
+    assert solve_subrf(theta, WORST_MAX_EH, WORST_MIN_EH, 5e-3) == (True, WORST_MIN_EH)
 
 
 def test_grid_lanes_equal_scalar_solves(scenario, vlc_matrix):
@@ -251,3 +267,44 @@ def test_grid_rejects_bad_inputs(scenario):
         solve_op1_grid(SERVING, SUMS, *args, [[1e-3]], 0.0)
     with pytest.raises(ValueError, match="nonnegative"):
         solve_op1_from_gains(SERVING, -SUMS, *args, 1e-3, 0.0)
+
+
+def _min_snr_db_over_devices(scenario, serving, bias):
+    swing = scenario.bias.swing_at(bias)
+    return min(vlc_snr_db(scenario.drive, g, swing, scenario.noise_power) for g in serving)
+
+
+def _jittered_gains(scenario, k):
+    """Gain summaries with every device moved up to 0.5 m in x and y, draw ``k``."""
+    shift = np.random.default_rng([3, k]).uniform(-0.5, 0.5, (len(scenario.devices), 2))
+    devices = [dataclasses.replace(d, position=d.position + np.append(s, 0.0))
+               for d, s in zip(scenario.devices, shift)]
+    matrix = build_vlc_matrix(scenario.transmitters, devices)
+    return matrix.serving_gains(), matrix.gain_sums()
+
+
+def test_min_snr_db_is_min_over_devices(scenario, vlc_matrix):
+    layouts = ([(vlc_matrix.serving_gains(), vlc_matrix.gain_sums()),
+                # equal serving gains: the first of them holds the worst role
+                (np.array([6e-3, 6e-3, 9e-3]), np.array([6.5e-3, 6.2e-3, 9.4e-3]))]
+               + [_jittered_gains(scenario, k) for k in range(12)])
+    args = (scenario.drive, scenario.vlc_eh, scenario.bias, scenario.noise_power)
+    thetas = np.linspace(0.0, 8e-3, 17)
+    caps = np.array([0.0, 2e-3, 6e-3])
+    seen = set()
+    for serving, sums in layouts:
+        for method in ("bisection", "closed_form"):
+            for cap in caps:
+                for theta in thetas:
+                    sol = solve_op1_from_gains(serving, sums, *args, float(theta), float(cap),
+                                               method=method)
+                    seen.add((sol.feasible, sol.fallback_used))
+                    want = (_min_snr_db_over_devices(scenario, serving, sol.bias)
+                            if sol.feasible else -np.inf)
+                    assert sol.min_snr_db == want
+        grid_thetas, grid_caps = (a.ravel() for a in np.meshgrid(thetas, caps))
+        feasible, bias, min_snr_db = solve_op1_grid(serving, sums, *args,
+                                                    grid_thetas, grid_caps)
+        for ok, b, got in zip(feasible, bias, min_snr_db):
+            assert got == (_min_snr_db_over_devices(scenario, serving, b) if ok else -np.inf)
+    assert seen == {(True, False), (True, True), (False, False)}

@@ -39,6 +39,7 @@ def test_scalar_and_array_shapes():
     assert isinstance(lambert_w0(2.0), float)
     out = lambert_w0(np.array([[1.0, 2.0], [3.0, 4.0]]))
     assert out.shape == (2, 2)
+    assert lambert_w0(np.array([])).shape == (0,)
 
 
 def test_negative_rejected():

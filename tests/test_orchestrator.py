@@ -56,7 +56,7 @@ def test_centralized_matches_direct_solve(scenario, vlc_matrix):
     direct = solve_op1(vlc_matrix, scenario.drive, scenario.vlc_eh, scenario.bias,
                        scenario.noise_power, THETA, scenario.rf_exposure_cap)
     assert sol.bias == direct.bias
-    assert sol.min_snr == direct.min_snr
+    assert sol.min_snr_db == direct.min_snr_db
     np.testing.assert_array_equal(sol.rf_targets, direct.rf_targets)
     assert beams.total_power > 0
 
@@ -75,7 +75,7 @@ def test_replay_reconstructs_both_modes(scenario):
         sol, beams, trace = runner(scenario, THETA)
         sol2, beams2 = replay(trace, scenario)
         assert sol2.bias == sol.bias
-        assert sol2.min_snr == sol.min_snr
+        assert sol2.min_snr_db == sol.min_snr_db
         np.testing.assert_array_equal(sol2.rf_targets, sol.rf_targets)
         assert beams2.total_power == beams.total_power
 

@@ -1,4 +1,5 @@
 import csv
+import json
 import os
 import subprocess
 import sys
@@ -49,7 +50,14 @@ def test_byte_manifest_smoke(tmp_path):
         "solve-direct-closed_form/solution.json",
         "solve-centralized/solution.json", "solve-centralized/trace_centralized.jsonl",
         "solve-semi/solution.json", "solve-semi/trace_semi.jsonl",
-        "exp/illuminance.json"}
+        "exp/illuminance.json", "jittered_layout.yaml",
+        "jittered-feasibility/feasibility_vs_theta.csv",
+        "jittered-solve-semi/solution.json", "jittered-solve-semi/trace_semi.jsonl",
+        "jittered-solve-direct-closed_form/solution.json"}
+    # the jittered layout takes the light side's worst-user fallback
+    for sub in ("jittered-solve-semi", "jittered-solve-direct-closed_form"):
+        sol = json.loads((tmp_path / "a" / sub / "solution.json").read_text())
+        assert sol["fallback_used"] and sol["worst_user"] == 1, sub
 
     # one more trial moves rf_power.csv alone: trials_ok of its 14 feasible
     # rows, the first of them in the first data row
