@@ -154,7 +154,7 @@ def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("out_dir", help="directory for the artifacts and their manifest")
-    ap.add_argument("--trials", type=int, default=100,
+    ap.add_argument("--trials", type=reproduce_all.trial_count, default=100,
                     help="Monte-Carlo draws for the RF power sweep")
     ap.add_argument("--against", default=None,
                     help="another run's MANIFEST.sha256 to compare with")

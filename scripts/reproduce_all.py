@@ -15,12 +15,20 @@ from attocell.experiments import (exp_eh_allocation, exp_feasibility_vs_theta,
 from attocell.scenario import default_scenario, load_scenario
 
 
+def trial_count(text):
+    """``--trials``: an integer of at least 1, checked before any output is written."""
+    trials = int(text)
+    if trials < 1:
+        raise argparse.ArgumentTypeError(f"need at least 1 trial, got {trials}")
+    return trials
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--config", default=None, help="scenario YAML (default: bundled)")
     ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--out-dir", default="results")
-    ap.add_argument("--trials", type=int, default=100,
+    ap.add_argument("--trials", type=trial_count, default=100,
                     help="Monte-Carlo draws for the RF power sweep")
     args = ap.parse_args(argv)
 

@@ -16,7 +16,7 @@ from .energy import (BiasLimits, DriveParams, LinearEhParams, NonlinearEhParams,
 from .errors import (AttocellError, DimensionMismatchError, InfeasibleError,
                      ScenarioError, SolverStallError, TargetUnreachableError,
                      UnservableDeviceError)
-from .geometry import OpticalElement, build_angle_diversity_layout, lambert_mode
+from .geometry import build_angle_diversity_layout, lambert_mode
 from .illumination import IlluminanceMap, element_luminous_flux, illuminance_map
 from .lightwave import (LightwaveSolution, identify_worst_user, solve_bias_bisection,
                         solve_bias_closed_form, solve_op1, solve_op1_from_gains,

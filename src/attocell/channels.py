@@ -24,8 +24,9 @@ __all__ = [
 def lambertian_los(transmitter, points):
     """Generalized Lambertian line-of-sight pattern of every element.
 
-    For points of shape (n, 3) returns ``(pattern, cos_psi)``:
-    pattern[i, k] = (m_i+1) / (2 pi d_k^2) cos^m_i(phi_ik) cos(psi_k) of
+    The elements share the transmitter's one Lambert order m.  For points
+    of shape (n, 3) returns ``(pattern, cos_psi)``:
+    pattern[i, k] = (m+1) / (2 pi d_k^2) cos^m(phi_ik) cos(psi_k) of
     element i at point k, with psi measured against an upward normal,
     and cos_psi of shape (n,).  Both cosines are clipped at 0.
     """
@@ -35,11 +36,10 @@ def lambertian_los(transmitter, points):
         raise ValueError("point coincides with transmitter")
     ray = vec / d[:, None]
     cos_psi = np.maximum(-ray[:, 2], 0.0)
-    bores = np.array([el.boresight for el in transmitter.elements])
-    m = np.array([el.lambert_m for el in transmitter.elements])[:, None]
+    m = transmitter.lambert_m
     # (elements, points) factors update one buffer in place: on a floor
     # grid each fresh temporary costs more in page faults than arithmetic
-    pattern = bores @ ray.T  # cos(phi)
+    pattern = transmitter.boresights @ ray.T  # cos(phi)
     np.maximum(pattern, 0.0, out=pattern)
     pattern **= m
     pattern /= 2.0 * np.pi * d * d
@@ -89,8 +89,8 @@ def build_vlc_matrix(transmitters, devices):
     """
     if not transmitters or not devices:
         raise DimensionMismatchError("need at least one transmitter and one device")
-    n_el = len(transmitters[0].elements)
-    if any(len(t.elements) != n_el for t in transmitters):
+    n_el = len(transmitters[0].boresights)
+    if any(len(t.boresights) != n_el for t in transmitters):
         raise DimensionMismatchError("transmitters must share an element count")
     points = np.array([dev.position for dev in devices])
     area, fov, n = np.array([(dev.detector.area, dev.detector.fov,

@@ -64,7 +64,7 @@ def _cmd_scenario_validate(args):
     build_vlc_matrix(sc.transmitters, sc.devices)
     print(f"scenario ok: hash {sc.hash}")
     print(f"  transmitters {len(sc.transmitters)}  "
-          f"elements {len(sc.transmitters[0].elements)}  "
+          f"elements {len(sc.transmitters[0].boresights)}  "
           f"devices {len(sc.devices)}  rf antennas {sc.rf_ap.antennas}")
     print(f"  room {sc.room_size[0]:g} x {sc.room_size[1]:g} x "
           f"{sc.room_size[2]:g} m  seed {sc.seed}")

@@ -11,7 +11,6 @@ import numpy as np
 from .errors import ScenarioError
 
 __all__ = [
-    "OpticalElement",
     "OpticalTransmitter",
     "Photodetector",
     "Device",
@@ -19,9 +18,6 @@ __all__ = [
     "lambert_mode",
     "build_angle_diversity_layout",
 ]
-
-UP = np.array([0.0, 0.0, 1.0])
-DOWN = np.array([0.0, 0.0, -1.0])
 
 
 def lambert_mode(semiangle):
@@ -34,34 +30,30 @@ def lambert_mode(semiangle):
     return -np.log(2.0) / np.log(np.cos(semiangle))
 
 
-@dataclass(frozen=True)
-class OpticalElement:
-    """One LED group of an angle-diversity transmitter."""
-
-    boresight: np.ndarray  # unit vector
-    semiangle: float       # half-power semiangle, rad
-    lambert_m: float = field(init=False)  # derived from the semiangle
-
-    def __post_init__(self):
-        b = np.asarray(self.boresight, dtype=float)
-        norm = np.linalg.norm(b)
-        if not np.isclose(norm, 1.0, atol=1e-9):
-            raise ScenarioError("element boresight must be a unit vector")
-        object.__setattr__(self, "boresight", b)
-        object.__setattr__(self, "lambert_m", lambert_mode(self.semiangle))
+def _row_norms(vectors):
+    """Norm of each row of an (n, 3) array, rounded as ``np.linalg.norm`` (a
+    BLAS dot) rounds it; ``einsum`` or ``(v * v).sum(1)`` can differ."""
+    return np.sqrt((vectors[:, None, :] @ vectors[:, :, None])[:, 0, 0])
 
 
 @dataclass(frozen=True)
 class OpticalTransmitter:
-    """Multi-element lightwave transmitter mounted on the ceiling."""
+    """Ceiling transmitter whose elements (LED groups) differ only in boresight."""
 
     position: np.ndarray
-    elements: tuple
+    boresights: np.ndarray  # (elements, 3) unit vectors
+    semiangle: float        # half-power semiangle, rad
+    lambert_m: float = field(init=False)  # derived from the semiangle
 
     def __post_init__(self):
+        b = np.asarray(self.boresights, dtype=float)
+        if b.ndim != 2 or b.shape[0] < 1 or b.shape[1] != 3:
+            raise ScenarioError("boresights must be a (k >= 1, 3) array")
+        if not np.all(np.isclose(_row_norms(b), 1.0, atol=1e-9)):
+            raise ScenarioError("element boresights must be unit vectors")
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        if len(self.elements) < 1:
-            raise ScenarioError("transmitter needs at least one element")
+        object.__setattr__(self, "boresights", b)
+        object.__setattr__(self, "lambert_m", lambert_mode(self.semiangle))
 
 
 @dataclass(frozen=True)
@@ -105,7 +97,7 @@ class RfAccessPoint:
             raise ScenarioError("access point needs at least one antenna")
 
 
-def build_angle_diversity_layout(m_elements, tilt, azimuth_offset, semiangle):
+def build_angle_diversity_layout(m_elements, tilt, azimuth_offset):
     """Element boresights for an angle-diversity transmitter.
 
     One element points straight down; the remaining ``m_elements - 1``
@@ -113,21 +105,14 @@ def build_angle_diversity_layout(m_elements, tilt, azimuth_offset, semiangle):
     starting from ``azimuth_offset``.  Angles in radians.
 
     Returns:
-        tuple of OpticalElement.
+        (m_elements, 3) array of unit vectors, the downward one first.
     """
     if m_elements < 1:
         raise ScenarioError("m_elements must be >= 1")
     if not 0 <= tilt < np.pi / 2:
         raise ScenarioError("tilt must lie in [0, pi/2)")
-    elements = [OpticalElement(DOWN, semiangle)]
-    n_ring = m_elements - 1
-    for k in range(n_ring):
-        az = azimuth_offset + 2.0 * np.pi * k / n_ring
-        bore = np.array([
-            np.sin(tilt) * np.cos(az),
-            np.sin(tilt) * np.sin(az),
-            -np.cos(tilt),
-        ])
-        bore /= np.linalg.norm(bore)
-        elements.append(OpticalElement(bore, semiangle))
-    return tuple(elements)
+    az = azimuth_offset + 2.0 * np.pi * np.arange(m_elements - 1) / (m_elements - 1)
+    ring = np.stack([np.sin(tilt) * np.cos(az), np.sin(tilt) * np.sin(az),
+                     np.full_like(az, -np.cos(tilt))], axis=1)  # empty for one element
+    bores = np.vstack([(0.0, 0.0, -1.0), ring])
+    return bores / _row_norms(bores)[:, None]

@@ -36,7 +36,8 @@ def lambert_w0(x):
     else:
         w = float(np.log1p(x))
     tol = _REL_TOL * max(1.0, abs(x))
-    for _ in range(_MAX_ITER):
+    prev = None
+    for step in range(_MAX_ITER):
         e = float(np.exp(w))
         f = w * e - x
         if abs(f) <= tol:
@@ -44,11 +45,14 @@ def lambert_w0(x):
         # Halley step; denominator never vanishes for w >= 0
         wp1 = w + 1.0
         new = w - f / (e * wp1 - (w + 2.0) * f / (2.0 * wp1))
-        if new == w:
-            break  # further steps round to nothing
-        w = new
-    # near the tolerance the iteration can cycle on the last ulp, so the
-    # loop count is not the verdict; the residual contract is
+        if new in (w, prev):
+            # a fixed point or a 2-cycle on the last ulp: end on the side
+            # of it that step _MAX_ITER would, without taking the steps
+            w = (w, new)[(_MAX_ITER - step) % 2]
+            break
+        prev, w = w, new
+    # a cycle stops above the step tolerance, so the loop's exit is not
+    # the verdict; the residual contract is
     if abs(w * float(np.exp(w)) - x) > 1e-12 * max(1.0, abs(x)):
         raise SolverStallError("lambert_w0 did not converge")
     return w

@@ -12,6 +12,7 @@ trigonometry and is the same on every libm and numpy build.
 
 import hashlib
 import json
+import math
 import re
 from dataclasses import dataclass
 from importlib import resources
@@ -52,9 +53,9 @@ _QTY_RE = re.compile(
 
 
 def parse_quantity(value):
-    """Resolve a number or 'value unit' string to an SI float."""
+    """Resolve a number or 'value unit' string to a finite SI float."""
     if isinstance(value, (int, float)):
-        return float(value)
+        return _number(value)
     if not isinstance(value, str):
         raise ScenarioError(f"cannot parse quantity from {value!r}")
     m = _QTY_RE.match(value)
@@ -63,7 +64,15 @@ def parse_quantity(value):
     num, unit = m.groups()
     if unit not in _UNIT_SCALE:
         raise ScenarioError(f"unknown unit {unit!r} in {value!r}")
-    return float(num) * _UNIT_SCALE[unit]
+    return _number(float(num) * _UNIT_SCALE[unit])
+
+
+def _number(value):
+    """``float(value)``, refusing NaN and infinities."""
+    number = float(value)
+    if not math.isfinite(number):
+        raise ScenarioError(f"{value!r} is not finite")
+    return number
 
 
 def _list(value):
@@ -99,7 +108,7 @@ def _require(cfg, key, where, kind=None):
         return cfg[key]
     try:
         return kind(cfg[key])
-    except (TypeError, ValueError, ScenarioError) as exc:
+    except (TypeError, ValueError, OverflowError, ScenarioError) as exc:
         raise ScenarioError(f"{key!r} in {where}: {exc}") from exc
 
 
@@ -165,13 +174,13 @@ def _resolve(cfg):
         raise ScenarioError("need one ring azimuth offset per transmitter")
     bias = BiasLimits(_require(opt, "bias_low", "optical", parse_quantity),
                       _require(opt, "bias_high", "optical", parse_quantity))
-    efficacy = _require(opt, "efficacy", "optical", float)
+    efficacy = _require(opt, "efficacy", "optical", _number)
 
     det_cfg = _require(cfg, "detector", "scenario")
     detector = Photodetector(
         area=_require(det_cfg, "area", "detector", parse_quantity),
         fov=_require(det_cfg, "fov", "detector", parse_quantity),
-        refractive_index=_require(det_cfg, "refractive_index", "detector", float),
+        refractive_index=_require(det_cfg, "refractive_index", "detector", _number),
     )
     drive = DriveParams(
         responsivity=_require(det_cfg, "responsivity", "detector", parse_quantity),
@@ -183,8 +192,8 @@ def _resolve(cfg):
     for pos, off in zip(positions, offsets):
         if np.any(pos < 0) or np.any(pos > room):
             raise ScenarioError(f"transmitter at {pos} outside the room")
-        elements = build_angle_diversity_layout(n_el, tilt, off, semiangle)
-        transmitters.append(OpticalTransmitter(position=pos, elements=elements))
+        transmitters.append(OpticalTransmitter(
+            pos, build_angle_diversity_layout(n_el, tilt, off), semiangle))
 
     devices = []
     for k, dev_cfg in enumerate(_require(cfg, "devices", "scenario", _list)):
@@ -213,7 +222,7 @@ def _resolve(cfg):
 
     eh_cfg = _require(cfg, "vlc_harvest", "scenario")
     vlc_eh = VlcEhParams(
-        fill_factor=_require(eh_cfg, "fill_factor", "vlc_harvest", float),
+        fill_factor=_require(eh_cfg, "fill_factor", "vlc_harvest", _number),
         thermal_voltage=_require(eh_cfg, "thermal_voltage", "vlc_harvest", parse_quantity),
         dark_current=_require(eh_cfg, "dark_current", "vlc_harvest", parse_quantity),
     )
@@ -223,8 +232,8 @@ def _resolve(cfg):
         position=np.asarray(_require(rf_cfg, "access_point", "rf", _qty_list), dtype=float),
         antennas=_require(rf_cfg, "antennas", "rf", _integer),
     )
-    rician = _require(rf_cfg, "rician_factor_db", "rf", float)
-    ple = _require(rf_cfg, "path_loss_exponent", "rf", float)
+    rician = _require(rf_cfg, "rician_factor_db", "rf", _number)
+    ple = _require(rf_cfg, "path_loss_exponent", "rf", _number)
     cap = _require(rf_cfg, "exposure_cap", "rf", parse_quantity)
     if cap <= 0:
         raise ScenarioError("rf exposure cap must be positive")
@@ -232,10 +241,10 @@ def _resolve(cfg):
     rfh_cfg = _require(cfg, "rf_harvest", "scenario")
     rf_nonlinear = NonlinearEhParams(
         max_harvest=_require(rfh_cfg, "max_harvest", "rf_harvest", parse_quantity),
-        steepness=_require(rfh_cfg, "steepness", "rf_harvest", float),
+        steepness=_require(rfh_cfg, "steepness", "rf_harvest", _number),
         turn_on=_require(rfh_cfg, "turn_on", "rf_harvest", parse_quantity),
     )
-    rf_linear = LinearEhParams(efficiency=_require(rfh_cfg, "linear_efficiency", "rf_harvest", float))
+    rf_linear = LinearEhParams(efficiency=_require(rfh_cfg, "linear_efficiency", "rf_harvest", _number))
 
     noise = _require(cfg, "noise_power", "scenario", parse_quantity)
     if noise <= 0:

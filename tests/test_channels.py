@@ -24,8 +24,8 @@ def _detector():
 
 
 def _single_tx(position=(0.0, 0.0, 3.0), semiangle=17 * DEG):
-    elements = build_angle_diversity_layout(1, 0.0, 0.0, semiangle)
-    return OpticalTransmitter(position=np.asarray(position), elements=elements)
+    return OpticalTransmitter(position=np.asarray(position),
+                              boresights=np.array([[0.0, 0.0, -1.0]]), semiangle=semiangle)
 
 
 def _gains(tx, *positions, detector=None, helper=None):
@@ -54,7 +54,7 @@ def test_concentrator_value_and_cutoff():
 def test_nadir_gain_closed_form():
     # straight-down element, device directly underneath: both cosines are 1
     tx = _single_tx()
-    m = tx.elements[0].lambert_m
+    m = tx.lambert_m
     expect = 85e-4 * (m + 1) / (2 * np.pi * 4.0) * 3.0
     assert _gains(tx, (0.0, 0.0, 1.0))[0] == pytest.approx(expect, rel=1e-12)
 
@@ -123,7 +123,7 @@ def test_build_matrix_requires_uniform_elements():
     t1 = _single_tx()
     t7 = OpticalTransmitter(
         position=np.array([1.0, 0.0, 3.0]),
-        elements=build_angle_diversity_layout(7, 84 * DEG, 0.0, 17 * DEG))
+        boresights=build_angle_diversity_layout(7, 84 * DEG, 0.0), semiangle=17 * DEG)
     dev = Device(position=np.array([0.0, 0.0, 1.0]), detector=det)
     with pytest.raises(DimensionMismatchError):
         build_vlc_matrix([t1, t7], [dev])

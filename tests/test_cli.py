@@ -133,6 +133,19 @@ def test_solve_bad_theta_string(tmp_path):
     assert code == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("value", ["1e999", "-1e999"])
+@pytest.mark.parametrize("argv", [
+    ["solve", "--theta={value}"],
+    ["solve", "--theta", "4mW", "--theta-rf={value}"],
+    ["exp", "illuminance", "--bias={value}"],
+], ids=["theta", "theta-rf", "bias"])
+def test_non_finite_option_is_config_error(tmp_path, capsys, argv, value):
+    argv = [arg.format(value=value) for arg in argv]
+    assert main(argv + ["--out-dir", str(tmp_path)]) == EXIT_CONFIG
+    assert "inf is not finite" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("mode,trace_msgs", [("centralized", 145), ("semi", 12)])
 def test_solve_orchestrated_modes(tmp_path, mode, trace_msgs):
     code = main(["solve", "--theta", "4mW", "--mode", mode,
@@ -293,6 +306,24 @@ def test_unlit_device_is_config_error(tmp_path, capsys, unlit_config, argv):
                  id="devices[0].transmitter=0.5"),
     pytest.param(("devices", 0, "transmitter"), False, "'transmitter' in device 0",
                  id="devices[0].transmitter=false"),
+    pytest.param(("rf", "exposure_cap"), float("nan"), "'exposure_cap' in rf",
+                 id="rf.exposure_cap=nan"),
+    pytest.param(("noise_power",), float("inf"), "'noise_power' in scenario",
+                 id="noise_power=inf"),
+    pytest.param(("noise_power",), 10 ** 400, "'noise_power' in scenario",
+                 id="noise_power=10**400"),
+    pytest.param(("optical", "efficacy"), float("nan"), "'efficacy' in optical",
+                 id="optical.efficacy=nan"),
+    pytest.param(("rf", "rician_factor_db"), float("nan"), "'rician_factor_db' in rf",
+                 id="rf.rician_factor_db=nan"),
+    pytest.param(("rf", "path_loss_exponent"), float("nan"), "'path_loss_exponent' in rf",
+                 id="rf.path_loss_exponent=nan"),
+    pytest.param(("rf_harvest", "steepness"), float("-inf"), "'steepness' in rf_harvest",
+                 id="rf_harvest.steepness=-inf"),
+    pytest.param(("rf_harvest", "max_harvest"), float("inf"), "'max_harvest' in rf_harvest",
+                 id="rf_harvest.max_harvest=inf"),
+    pytest.param(("vlc_harvest", "dark_current"), float("nan"),
+                 "'dark_current' in vlc_harvest", id="vlc_harvest.dark_current=nan"),
 ])
 def test_malformed_structure_is_config_error(tmp_path, capsys, path, value, named):
     cfg = yaml.safe_load(resources.files("attocell").joinpath(

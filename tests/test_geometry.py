@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from attocell.errors import ScenarioError
-from attocell.geometry import (OpticalElement, Photodetector, RfAccessPoint,
+from attocell.geometry import (OpticalTransmitter, Photodetector, RfAccessPoint,
                                build_angle_diversity_layout, lambert_mode)
 
 DEG = np.pi / 180.0
@@ -32,9 +32,8 @@ def test_lambert_mode_rejects_degenerate_angles():
 
 
 def test_angle_diversity_layout_shape():
-    elements = build_angle_diversity_layout(7, 40 * DEG, 0.0, 17 * DEG)
-    assert len(elements) == 7
-    axes = np.array([e.boresight for e in elements])
+    axes = build_angle_diversity_layout(7, 40 * DEG, 0.0)
+    assert axes.shape == (7, 3)
     # one element straight down, the ring all at the same tilt
     assert np.allclose(axes[0], [0.0, 0.0, -1.0])
     tilts = np.arccos(-axes[1:, 2])
@@ -46,32 +45,71 @@ def test_angle_diversity_layout_shape():
 
 
 def test_angle_diversity_azimuth_offset_rotates_ring():
-    base = build_angle_diversity_layout(7, 84 * DEG, 0.0, 17 * DEG)
-    off = build_angle_diversity_layout(7, 84 * DEG, 30 * DEG, 17 * DEG)
+    base = build_angle_diversity_layout(7, 84 * DEG, 0.0)
+    off = build_angle_diversity_layout(7, 84 * DEG, 30 * DEG)
     c, s = np.cos(30 * DEG), np.sin(30 * DEG)
     rot = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
-    for eb, eo in zip(base[1:], off[1:]):
-        assert np.allclose(rot @ eb.boresight, eo.boresight, atol=1e-12)
+    assert np.allclose(base[1:] @ rot.T, off[1:], atol=1e-12)
+
+
+def test_layout_keeps_the_bits_of_the_scalar_loop():
+    # the per-element construction the array replaced: scalar sin/cos,
+    # each ring boresight divided by its np.linalg.norm
+    rng = np.random.default_rng(3)
+    for m in range(1, 12):
+        tilt, off = rng.uniform(0.0, 1.5), rng.uniform(-7.0, 7.0)
+        want = [np.array([0.0, 0.0, -1.0])]
+        for k in range(m - 1):
+            az = off + 2.0 * np.pi * k / (m - 1)
+            bore = np.array([np.sin(tilt) * np.cos(az), np.sin(tilt) * np.sin(az),
+                             -np.cos(tilt)])
+            want.append(bore / np.linalg.norm(bore))
+        assert build_angle_diversity_layout(m, tilt, off).tobytes() == np.array(want).tobytes()
+
+
+def test_single_element_layout_has_no_ring():
+    assert build_angle_diversity_layout(1, 40 * DEG, 0.3).tolist() == [[0.0, 0.0, -1.0]]
 
 
 def test_element_boresights_are_unit_vectors():
-    for e in build_angle_diversity_layout(7, 84 * DEG, 0.3, 17 * DEG):
-        assert np.linalg.norm(e.boresight) == pytest.approx(1.0, abs=1e-12)
+    axes = build_angle_diversity_layout(7, 84 * DEG, 0.3)
+    assert np.linalg.norm(axes, axis=1) == pytest.approx(np.ones(7), abs=1e-12)
 
 
-def test_element_lambert_m_autofilled():
-    e = OpticalElement(np.array([0.0, 0.0, -1.0]), 17 * DEG)
-    assert e.lambert_m == pytest.approx(lambert_mode(17 * DEG), rel=0)
+def _transmitter(boresights, **kwargs):
+    return OpticalTransmitter(np.array([1.0, 1.0, 3.0]), boresights, 17 * DEG, **kwargs)
 
 
-def test_element_lambert_m_is_not_settable():
+def test_transmitter_lambert_m_autofilled():
+    tx = _transmitter(build_angle_diversity_layout(7, 40 * DEG, 0.0))
+    assert tx.lambert_m == pytest.approx(lambert_mode(17 * DEG), rel=0)
+
+
+def test_transmitter_lambert_m_is_not_settable():
     with pytest.raises(TypeError):
-        OpticalElement(np.array([0.0, 0.0, -1.0]), 17 * DEG, lambert_m=1.0)
+        _transmitter(np.array([[0.0, 0.0, -1.0]]), lambert_m=1.0)
 
 
-def test_element_rejects_non_unit_boresight():
-    with pytest.raises(ScenarioError):
-        OpticalElement(np.array([0.0, 0.0, -2.0]), 17 * DEG)
+def test_transmitter_rejects_non_unit_boresight():
+    bores = build_angle_diversity_layout(7, 40 * DEG, 0.0)
+    bores[3] *= 2.0
+    with pytest.raises(ScenarioError, match="unit vectors"):
+        _transmitter(bores)
+
+
+@pytest.mark.parametrize("boresights", [
+    np.array([0.0, 0.0, -1.0]),
+    np.array([[0.0, -1.0]]),
+    np.array([[[0.0, 0.0, -1.0]]]),
+], ids=["vector", "two-columns", "three-dims"])
+def test_transmitter_rejects_bad_boresight_shape(boresights):
+    with pytest.raises(ScenarioError, match="k >= 1, 3"):
+        _transmitter(boresights)
+
+
+def test_transmitter_needs_an_element():
+    with pytest.raises(ScenarioError, match="k >= 1, 3"):
+        _transmitter(np.zeros((0, 3)))
 
 
 def test_photodetector_validation():

@@ -53,7 +53,7 @@ def test_fraction_above_bounds(scenario):
 def test_total_flux_below_emitted(scenario):
     # plane capture can never exceed what the elements emit
     m = _default_map(scenario)
-    emitted = (len(scenario.transmitters) * len(scenario.transmitters[0].elements)
+    emitted = (len(scenario.transmitters) * len(scenario.transmitters[0].boresights)
                * element_luminous_flux(scenario.drive, 8.5e-3, scenario.efficacy))
     # flux landing on the plane by the trapezoid rule
     landed = np.trapezoid(np.trapezoid(m.values, m.xs, axis=1), m.ys)

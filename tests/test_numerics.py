@@ -35,6 +35,27 @@ def test_array_gives_each_element_its_scalar_bits():
     assert np.array_equal(lambert_w0(xs.reshape(40, 50)), scalar.reshape(40, 50))
 
 
+# inputs whose Halley iterates fall into a 2-cycle on the last ulp, with
+# the value the full 64 steps end on; the first three end on the cycle's
+# current iterate when it is detected, the last two on the next one
+CYCLING = [
+    ("0x1.86a0000000000p+16", "0x1.291b358a69dadp+3"),  # 1e5
+    ("0x1.0b17cc3d0d1d6p+18", "0x1.464da3373ac44p+3"),
+    ("0x1.30afc0a24697dp+36", "0x1.608e77e8f963fp+4"),
+    ("0x1.1b6c817f22e79p+138", "0x1.6cf8607b727f7p+6"),
+    ("0x1.e43a21b1c0709p+91", "0x1.dd01665ebe1d3p+5"),
+]
+
+
+@pytest.mark.parametrize("x,w", CYCLING, ids=[x for x, _ in CYCLING])
+def test_last_ulp_cycle_stops_early_with_the_same_bits(monkeypatch, x, w):
+    calls = []
+    exp = np.exp
+    monkeypatch.setattr(np, "exp", lambda v: calls.append(v) or exp(v))
+    assert lambert_w0(float.fromhex(x)).hex() == w
+    assert len(calls) <= 8
+
+
 def test_scalar_and_array_shapes():
     assert isinstance(lambert_w0(2.0), float)
     out = lambert_w0(np.array([[1.0, 2.0], [3.0, 4.0]]))

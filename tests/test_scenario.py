@@ -10,7 +10,6 @@ import yaml
 import attocell.scenario
 from attocell.cli import EXIT_CONFIG, main
 from attocell.errors import ScenarioError
-from attocell.geometry import OpticalElement
 from attocell.scenario import (_resolve, default_scenario, load_scenario,
                                parse_quantity, scenario_hash)
 
@@ -37,7 +36,7 @@ def test_parse_quantity_rejects_garbage():
 def test_default_scenario_shape(scenario):
     assert len(scenario.transmitters) == 4
     assert len(scenario.devices) == 5
-    assert all(len(t.elements) == 7 for t in scenario.transmitters)
+    assert all(t.boresights.shape == (7, 3) for t in scenario.transmitters)
     assert scenario.rf_ap.antennas == 6
     assert scenario.room_size.tolist() == [5.0, 5.0, 3.0]
 
@@ -223,14 +222,13 @@ def test_hash_ignores_last_ulp_of_derived_geometry(monkeypatch, scenario):
     build = attocell.scenario.build_angle_diversity_layout
 
     def nudged(*args):
-        return tuple(OpticalElement(np.nextafter(el.boresight, np.inf), el.semiangle)
-                     for el in build(*args))
+        return np.nextafter(build(*args), np.inf)
 
     monkeypatch.setattr(attocell.scenario, "build_angle_diversity_layout", nudged)
     other = default_scenario()
-    moved = [not np.array_equal(a.boresight, b.boresight)
+    moved = [not np.array_equal(a, b)
              for ta, tb in zip(other.transmitters, scenario.transmitters)
-             for a, b in zip(ta.elements, tb.elements)]
+             for a, b in zip(ta.boresights, tb.boresights)]
     assert all(moved) and len(moved) == 28
     assert other.hash == scenario.hash
 

@@ -29,6 +29,17 @@ def test_reproduce_all_smoke(tmp_path):
         assert {r["scenario_hash"] for r in rows} == {want}, name
 
 
+def test_reproduce_all_rejects_zero_trials_before_writing(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_all.py"),
+         "--trials", "0", "--out-dir", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "need at least 1 trial, got 0" in proc.stderr
+    assert not list(tmp_path.iterdir())
+
+
 def test_byte_manifest_smoke(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     script = str(ROOT / "scripts" / "byte_manifest.py")
