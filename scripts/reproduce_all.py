@@ -48,13 +48,13 @@ def main(argv=None):
         ("illuminance", lambda: exp_illuminance(sc)),
     ]
     for name, run in runs:
-        t0 = time.time()
+        t0 = time.perf_counter()
         result = run()
         path = os.path.join(args.out_dir, f"{name}.csv")
         result.to_csv(path)
         keys = ", ".join(f"{k}={v:.6g}" for k, v in sorted(result.meta.items())
                          if isinstance(v, float))
-        print(f"{name:24s} {result.n_rows:6d} rows  {time.time()-t0:6.1f}s  {keys}")
+        print(f"{name:24s} {result.n_rows:6d} rows  {time.perf_counter()-t0:6.1f}s  {keys}")
 
 
 if __name__ == "__main__":

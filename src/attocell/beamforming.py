@@ -15,7 +15,8 @@ J x J Schur system over the devices with positive targets, and picks mu
 by Mehrotra's predictor rule (SIAM J. Optim. 1992).  Every iterate is
 certified on its optimal face: the eigen-directions of W that outweigh Z,
 scaled until the tightest target is met, against gamma rescaled onto
-lambda_max(sum gamma G) = 1, which lower-bounds tr(W).
+lambda_max(sum gamma G) = 1, which lower-bounds tr(W).  The first
+certificate whose gap is within tolerance is the answer.
 
 The core runs on a stack of B instances that share one target vector,
 as in a Monte-Carlo sweep over fading draws.  Each instance keeps its
@@ -126,6 +127,9 @@ def solve_aggregate_sdp_batch(channel_sets, targets, tol=1e-8):
     SolverStallError of that instance alone.  Malformed input (targets,
     shapes, a channel that is not rank one, a zero channel under a
     positive target) raises for the whole batch, as in the single solve.
+    A stacked linear-algebra routine raises for the whole stack, so on
+    that error path each channel set is solved alone, and a breakdown
+    lands on the instance it belongs to.
     """
     if not isinstance(targets, EhTargets):
         targets = EhTargets(input_targets=targets)
@@ -145,18 +149,31 @@ def solve_aggregate_sdp_batch(channel_sets, targets, tol=1e-8):
             f"device {active[zero[0, 1]]} has a zero channel but a positive target")
 
     scale = float(np.max(b_raw[active]))
-    b = b_raw[active] / scale
+    try:
+        vals, vecs = np.linalg.eigh(g[:, active])
+        if np.any(np.abs(vals[..., :-1]) > 1e-9 * vals[..., -1:]):
+            raise ValueError("channel matrix is not rank one")
+        # the vectors h_j with G_j = h_j h_j^H, as the columns of H
+        h = (np.sqrt(vals[..., -1])[..., None] * vecs[..., -1]).swapaxes(-1, -2)
+        h_scale = np.max(np.sum(np.abs(h) ** 2, axis=1), axis=1)
+        solved = _primal_dual(h / np.sqrt(h_scale)[:, None, None], b_raw[active] / scale, tol)
+    except np.linalg.LinAlgError as exc:
+        if n_inst > 1:
+            return [out for gs in g for out in solve_aggregate_sdp_batch([gs], targets, tol)]
+        err = SolverStallError(f"numerical breakdown: {exc}")
+        err.__cause__ = exc
+        return [err]
     results = []
-    for out in _solve_stack(g[:, active], b, tol):
+    for out, hs in zip(solved, h_scale):
         if isinstance(out, SolverStallError):
             results.append(out)
             continue
         w, gamma, obj, gap, steps = out
         duals = np.zeros(n_dev)
-        duals[active] = gamma  # free of the target scale
+        duals[active] = gamma / hs  # free of the target scale
         try:
-            results.append(PsdMatrix(entries=scale * w, objective=scale * obj,
-                                     duals=duals, gap=scale * gap, iterations=steps))
+            results.append(PsdMatrix(entries=scale * (w / hs), objective=scale * (obj / hs),
+                                     duals=duals, gap=scale * (gap / hs), iterations=steps))
         except ValueError as exc:
             # a solver output that fails validation is a solver failure
             err = SolverStallError(f"solver output rejected: {exc}")
@@ -177,36 +194,6 @@ def _channel_stack(channel_sets, n_dev):
     if any(g.shape != (m, m) for gs in sets for g in gs):
         raise DimensionMismatchError("channel matrices must share a shape")
     return np.array(sets, dtype=complex).reshape(len(sets), n_dev, m, m)
-
-
-def _solve_stack(g, b, tol):
-    """Per instance of the (B, J, m, m) channel stack ``g``, the optimum
-    (W, duals, objective, gap, steps) for the targets ``b``, or its
-    SolverStallError.
-
-    Channels are normalized by their largest power, like the targets,
-    so the stop rule is scale-free; the answer is scaled back.  A
-    stacked linear-algebra routine raises for the whole stack, so on
-    that error path each instance is solved alone, and a breakdown
-    lands on the instance it belongs to.
-    """
-    try:
-        vals, vecs = np.linalg.eigh(g)
-        if np.any(np.abs(vals[..., :-1]) > 1e-9 * vals[..., -1:]):
-            raise ValueError("channel matrix is not rank one")
-        # the vectors h_j with G_j = h_j h_j^H, as the columns of H
-        h = (np.sqrt(vals[..., -1])[..., None] * vecs[..., -1]).swapaxes(-1, -2)
-        h_scale = np.max(np.sum(np.abs(h) ** 2, axis=1), axis=1)
-        solved = _primal_dual(h / np.sqrt(h_scale)[:, None, None], b, tol)
-    except np.linalg.LinAlgError as exc:
-        if len(g) > 1:
-            return [out for i in range(len(g)) for out in _solve_stack(g[i:i + 1], b, tol)]
-        err = SolverStallError(f"numerical breakdown: {exc}")
-        err.__cause__ = exc
-        return [err]
-    return [out if isinstance(out, SolverStallError)
-            else (out[0] / hs, out[1] / hs, out[2] / hs, out[3] / hs, out[4])
-            for out, hs in zip(solved, h_scale)]
 
 
 def _stalled(mu_min, gap, tol):
@@ -240,7 +227,7 @@ def _primal_dual(h, b, tol):
     targets ``b``.  Every instance keeps its own step lengths,
     certificate, stop test and stall counter, and leaves the stack when
     it stops.  Returns, per instance, (W, duals, objective, gap, steps)
-    of its best certificate, or its SolverStallError.
+    of its first certificate within tolerance, or its SolverStallError.
 
     The iterate is W, the primal slacks s_j = h_j^H W h_j - b_j and the
     duals gamma (``sg`` holds s and gamma as rows), with Z = I - sum
@@ -260,12 +247,7 @@ def _primal_dual(h, b, tol):
     c = 2.0 * (b / power).max(axis=1)
     w = c[:, None, None] * np.eye(m, dtype=complex)
     sg = np.stack((c[:, None] * power - b, 0.5 / (n * power)), axis=1)
-    # the smallest certified gap so far: face eigenvectors, scaled eigenvalues
-    best_vecs = np.zeros_like(w)
-    best_lam = np.zeros((n_inst, m))
-    best_cert = np.zeros((n_inst, n))
-    best_obj = np.zeros(n_inst)
-    best_gap = np.full(n_inst, np.inf)
+    gap_min = np.full(n_inst, np.inf)  # the smallest certified gap, for a stall
     mu_min = np.full(n_inst, np.inf)
     stale = np.zeros(n_inst, dtype=int)
     steps = 0
@@ -282,7 +264,7 @@ def _primal_dual(h, b, tol):
             if n_inst > 1 or steps == 0:
                 raise
             # rounding has pushed a late iterate off the cone: no more progress
-            return [_stalled(mu_min[0], best_gap[0], tol)]
+            return [_stalled(mu_min[0], gap_min[0], tol)]
 
         # W's eigenpairs and lambda_max(sum gamma G) in one eigensolve
         evals, evecs = np.linalg.eigh(np.concatenate((w, gsum)))
@@ -295,15 +277,10 @@ def _primal_dual(h, b, tol):
         lam = face / np.where(ok, floor, 1.0)[:, None]
         obj = lam.sum(axis=1)
         gap = obj - cert @ b
-        better = ok & (gap < best_gap)
-        np.copyto(best_vecs, evecs, where=better[:, None, None])
-        np.copyto(best_lam, lam, where=better[:, None])
-        np.copyto(best_cert, cert, where=better[:, None])
-        np.copyto(best_obj, obj, where=better)
-        np.copyto(best_gap, gap, where=better)
+        np.copyto(gap_min, gap, where=ok & (gap < gap_min))
 
         mu = _duality_measure(w, z, sg)
-        done = best_gap <= tol * (1.0 + np.abs(best_obj))
+        done = ok & (gap <= tol * (1.0 + np.abs(obj)))
         improved = mu < mu_min
         stale = (stale + 1) * ~improved
         mu_min = np.where(improved, mu, mu_min)
@@ -311,20 +288,18 @@ def _primal_dual(h, b, tol):
         if stop.any():
             for i in np.flatnonzero(stop):
                 if done[i]:
-                    face_w = (best_vecs[i] * best_lam[i]) @ _herm(best_vecs[i])
-                    results[live[i]] = (0.5 * (face_w + _herm(face_w)), best_cert[i],
-                                        float(best_obj[i]), float(best_gap[i]), steps)
+                    face_w = (evecs[i] * lam[i]) @ _herm(evecs[i])
+                    results[live[i]] = (0.5 * (face_w + _herm(face_w)), cert[i],
+                                        float(obj[i]), float(gap[i]), steps)
                 else:
-                    results[live[i]] = _stalled(mu_min[i], best_gap[i], tol)
+                    results[live[i]] = _stalled(mu_min[i], gap_min[i], tol)
             keep = ~stop
             if not keep.any():
                 break
             nb = int(keep.sum())
             chol = chol[np.concatenate((keep, keep))]
-            h, hh, w, z, sg, mu, best_vecs, best_lam, best_cert, best_obj, best_gap, \
-                mu_min, stale, live = (a[keep] for a in (
-                    h, hh, w, z, sg, mu, best_vecs, best_lam, best_cert, best_obj,
-                    best_gap, mu_min, stale, live))
+            h, hh, w, z, sg, mu, gap_min, mu_min, stale, live = (a[keep] for a in (
+                h, hh, w, z, sg, mu, gap_min, mu_min, stale, live))
             s, gamma = sg[:, 0], sg[:, 1]
 
         li = np.linalg.inv(chol)  # inverse Cholesky factors of W, then of Z

@@ -61,7 +61,9 @@ def _write_result(result, args):
 
 def _cmd_scenario_validate(args):
     sc = _load(args)
+    # build what solve builds first, so a file solve refuses fails here too
     build_vlc_matrix(sc.transmitters, sc.devices)
+    sample_rf_channel(sc.rf_ap, sc.devices, sc.rician_factor_db, sc.path_loss_exponent, sc.seed)
     print(f"scenario ok: hash {sc.hash}")
     print(f"  transmitters {len(sc.transmitters)}  "
           f"elements {len(sc.transmitters[0].boresights)}  "

@@ -95,6 +95,10 @@ class NonlinearEhParams:
     def __post_init__(self):
         if self.max_harvest <= 0 or self.steepness <= 0 or self.turn_on <= 0:
             raise ValueError("nonlinear EH parameters must be positive")
+        with np.errstate(over="ignore"):
+            if not np.isfinite(np.exp(self.steepness * self.turn_on)):
+                raise ValueError(f"steepness x turn_on = {self.steepness * self.turn_on:g} "
+                                 f"overflows exp() in the rectifier model")
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,24 @@ def _qty_list(values):
     return [parse_quantity(v) for v in _list(values)]
 
 
+def _position(value):
+    """A point as three finite lengths."""
+    pos = np.asarray(_qty_list(value), dtype=float)
+    if pos.shape != (3,):
+        raise ValueError(f"a position needs three lengths, got {value!r}")
+    return pos
+
+
+def _decibels(value):
+    """A finite dB figure whose linear ratio 10^(dB/10) is finite too."""
+    db = _number(value)
+    try:
+        10.0 ** (db / 10.0)
+    except OverflowError:
+        raise ValueError(f"{value!r} dB overflows as a linear ratio") from None
+    return db
+
+
 def _mapping(node, where):
     if not isinstance(node, dict):
         raise ScenarioError(f"{where} must be a mapping, got {node!r}")
@@ -158,14 +176,17 @@ def _resolved(node):
 
 def _resolve(cfg):
     seed = _require(cfg, "seed", "scenario", _integer) if "seed" in cfg else 0
+    if seed < 0:
+        raise ScenarioError(f"seed must be nonnegative, got {seed}")
     room = np.asarray(_require(_require(cfg, "room", "scenario"), "size", "room", _qty_list),
                       dtype=float)
     if room.shape != (3,) or np.any(room <= 0):
         raise ScenarioError("room size must be three positive lengths")
 
     opt = _require(cfg, "optical", "scenario")
-    positions = _require(opt, "transmitters", "optical",
-                         lambda ps: [np.asarray(_qty_list(p), dtype=float) for p in _list(ps)])
+    positions = _require(opt, "transmitters", "optical", lambda ps: [_position(p) for p in _list(ps)])
+    if not positions:
+        raise ScenarioError("scenario has no transmitters")
     n_el = _require(opt, "elements_per_transmitter", "optical", _integer)
     semiangle = _require(opt, "semiangle", "optical", parse_quantity)
     tilt = _require(opt, "ring_tilt", "optical", parse_quantity)
@@ -198,7 +219,7 @@ def _resolve(cfg):
     devices = []
     for k, dev_cfg in enumerate(_require(cfg, "devices", "scenario", _list)):
         if "position" in _mapping(dev_cfg, f"device {k}"):
-            pos = np.asarray(_require(dev_cfg, "position", f"device {k}", _qty_list), dtype=float)
+            pos = _require(dev_cfg, "position", f"device {k}", _position)
         else:
             # shorthand: distance and compass bearing from a transmitter
             ti = _require(dev_cfg, "transmitter", f"device {k}", _integer)
@@ -229,10 +250,10 @@ def _resolve(cfg):
 
     rf_cfg = _require(cfg, "rf", "scenario")
     rf_ap = RfAccessPoint(
-        position=np.asarray(_require(rf_cfg, "access_point", "rf", _qty_list), dtype=float),
+        position=_require(rf_cfg, "access_point", "rf", _position),
         antennas=_require(rf_cfg, "antennas", "rf", _integer),
     )
-    rician = _require(rf_cfg, "rician_factor_db", "rf", _number)
+    rician = _require(rf_cfg, "rician_factor_db", "rf", _decibels)
     ple = _require(rf_cfg, "path_loss_exponent", "rf", _number)
     cap = _require(rf_cfg, "exposure_cap", "rf", parse_quantity)
     if cap <= 0:

@@ -1,11 +1,15 @@
 import argparse
+import contextlib
 import csv
+import io
 import json
+import math
 from importlib import resources
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings, strategies as st
 
 import attocell.beamforming as beamforming
 from attocell.beamforming import solve_aggregate_sdp
@@ -14,6 +18,25 @@ from attocell.cli import (EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_OK, EXIT_SOLVER,
 from attocell.channels import build_vlc_matrix
 from attocell.errors import ScenarioError, SolverStallError
 from attocell.scenario import default_scenario, load_scenario
+
+
+def _bundled_cfg():
+    return yaml.safe_load(resources.files("attocell").joinpath(
+        "data/default_scenario.yaml").read_text())
+
+
+_DELETE = "<deleted>"
+
+
+def _set_entry(cfg, path, value):
+    """Replace the entry of ``cfg`` at ``path`` by ``value``, or delete it."""
+    node = cfg
+    for key in path[:-1]:
+        node = node[key]
+    if value is _DELETE:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
 
 
 def test_scenario_validate_default(capsys):
@@ -249,8 +272,7 @@ def test_seed_override_changes_rf(tmp_path):
 
 @pytest.fixture
 def unlit_config(tmp_path):
-    cfg = yaml.safe_load(resources.files("attocell").joinpath(
-        "data/default_scenario.yaml").read_text())
+    cfg = _bundled_cfg()
     cfg["devices"][4] = {"position": [0.5, 0.5, 3.0]}  # at ceiling height
     path = tmp_path / "unlit.yaml"
     path.write_text(yaml.safe_dump(cfg))
@@ -324,14 +346,25 @@ def test_unlit_device_is_config_error(tmp_path, capsys, unlit_config, argv):
                  id="rf_harvest.max_harvest=inf"),
     pytest.param(("vlc_harvest", "dark_current"), float("nan"),
                  "'dark_current' in vlc_harvest", id="vlc_harvest.dark_current=nan"),
+    pytest.param(("rf", "access_point"), [2.5, 2.5], "'access_point' in rf",
+                 id="rf.access_point=[2.5,2.5]"),
+    pytest.param(("rf", "access_point"), [2.5, 2.5, 3, 1], "'access_point' in rf",
+                 id="rf.access_point=[2.5,2.5,3,1]"),
+    pytest.param(("optical", "transmitters", 0), [1.5, 1.5], "'transmitters' in optical",
+                 id="optical.transmitters[0]=[1.5,1.5]"),
+    pytest.param(("optical", "transmitters", 0), [1.5, 1.5, 3, 3], "'transmitters' in optical",
+                 id="optical.transmitters[0]=[1.5,1.5,3,3]"),
+    pytest.param(("devices", 0), {"position": [1, 1]}, "'position' in device 0",
+                 id="devices[0].position=[1,1]"),
+    pytest.param(("devices", 0), {"position": [1, 1, 1, 1]}, "'position' in device 0",
+                 id="devices[0].position=[1,1,1,1]"),
+    pytest.param(("seed",), -1, "seed must be nonnegative", id="seed=-1"),
+    pytest.param(("rf", "rician_factor_db"), 1e300, "'rician_factor_db' in rf",
+                 id="rf.rician_factor_db=1e300"),
 ])
 def test_malformed_structure_is_config_error(tmp_path, capsys, path, value, named):
-    cfg = yaml.safe_load(resources.files("attocell").joinpath(
-        "data/default_scenario.yaml").read_text())
-    node = cfg
-    for key in path[:-1]:
-        node = node[key]
-    node[path[-1]] = value
+    cfg = _bundled_cfg()
+    _set_entry(cfg, path, value)
     bad = tmp_path / "bad.yaml"
     bad.write_text(yaml.safe_dump(cfg))
     with pytest.raises(ScenarioError, match=named):
@@ -388,3 +421,86 @@ def test_successive_calls_share_no_options(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "eh_allocation.csv", "feasibility_vs_theta.csv", "illuminance.json",
         "rf_channels.csv", "vlc_channels.csv"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["scenario", "validate"],
+    ["solve", "--theta", "4mW", OUT],
+    ["exp", "illuminance", OUT],
+], ids=["validate", "solve", "exp-illuminance"])
+def test_empty_transmitter_list_is_config_error(tmp_path, capsys, argv):
+    cfg = _bundled_cfg()
+    cfg["optical"].update(transmitters=[], ring_azimuth_offsets=[])
+    cfg["devices"] = [{"position": [1.0, 1.0, 1.0]}, {"position": [4.0, 4.0, 1.0]}]
+    path = tmp_path / "dark.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    argv = [arg.format(out=tmp_path / "out") for arg in argv]
+    assert main(argv + ["--config", str(path)]) == EXIT_CONFIG
+    assert "scenario has no transmitters" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# (entries replaced, what the error must name): files on which solve exits 2
+@pytest.mark.parametrize("edits,named", [
+    pytest.param({("devices",): [{"position": [2.5, 2.5, 1.0]}], ("rf", "access_point"):
+                  [2.5, 2.5, 1.0]}, "coincides with the access point", id="ap-on-device"),
+    pytest.param({("rf", "antennas"): 1e300}, "dimension", id="rf.antennas=1e300"),
+    pytest.param({("rf_harvest", "turn_on"): 1e300}, "steepness x turn_on",
+                 id="rf_harvest.turn_on=1e300"),
+    pytest.param({("rf_harvest", "steepness"): 1e300}, "steepness x turn_on",
+                 id="rf_harvest.steepness=1e300"),
+])
+def test_validate_refuses_what_solve_refuses(tmp_path, capsys, edits, named):
+    cfg = _bundled_cfg()
+    for path, value in edits.items():
+        _set_entry(cfg, path, value)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text(yaml.safe_dump(cfg))
+    for argv in (["scenario", "validate"], ["solve", "--theta", "4mW", "--out-dir", str(tmp_path)]):
+        assert main(argv + ["--config", str(bad)]) == EXIT_CONFIG
+        assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["scenario", "validate"],
+    ["solve", "--theta", "4mW", OUT],
+    ["exp", "feasibility", OUT],
+], ids=["validate", "solve", "exp"])
+def test_negative_seed_option_is_config_error(tmp_path, capsys, argv):
+    argv = [arg.format(out=tmp_path / "out") for arg in argv]
+    assert main(argv + ["--seed", "-1"]) == EXIT_CONFIG
+    assert "seed must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _leaf_paths(node, path=()):
+    if isinstance(node, (dict, list)):
+        for key, child in (node.items() if isinstance(node, dict) else enumerate(node)):
+            yield from _leaf_paths(child, path + (key,))
+    else:
+        yield path
+
+
+# No count between about 1e4 and 1e300: rf.antennas or elements_per_transmitter
+# that large would really be allocated.  1e300 itself is refused before that.
+_MUTANTS = (math.nan, math.inf, -math.inf, 0, -1, 1e300, "x", [1], True, _DELETE)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(st.sampled_from(tuple(_leaf_paths(_bundled_cfg()))), st.sampled_from(_MUTANTS))
+def test_every_leaf_mutation_maps_to_an_exit_code(tmp_path_factory, path, value):
+    # any exception escaping main would be a traceback and exit 1 on the command line
+    cfg = _bundled_cfg()
+    _set_entry(cfg, path, value)
+    work = tmp_path_factory.getbasetemp() / "leaf-mutations"
+    work.mkdir(exist_ok=True)
+    bad = work / "mutant.yaml"
+    bad.write_text(yaml.safe_dump(cfg))
+    config = ["--config", str(bad)]
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        validated = main(["scenario", "validate", *config])
+        solved = main(["solve", "--theta", "4mW", "--out-dir", str(work), *config])
+    assert validated in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_SOLVER)
+    assert solved in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_SOLVER)
+    if solved == EXIT_CONFIG:
+        assert validated == EXIT_CONFIG, (path, value)

@@ -115,3 +115,12 @@ def test_nonlinear_eh_bounded_and_monotone(power):
     val = nonlinear_eh(RECT, power)
     assert 0.0 <= val < RECT.max_harvest
     assert nonlinear_eh(RECT, power + 1e-3) > val
+
+
+@pytest.mark.parametrize("steepness,turn_on", [(1e300, 14e-3), (150.0, 1e300), (1e5, 1.0)])
+def test_rectifier_refuses_an_exp_overflow(steepness, turn_on):
+    with pytest.raises(ValueError, match="steepness x turn_on"):
+        NonlinearEhParams(max_harvest=24e-3, steepness=steepness, turn_on=turn_on)
+    # just below the float64 limit of exp() the model still builds and inverts
+    params = NonlinearEhParams(max_harvest=24e-3, steepness=709.0, turn_on=1.0)
+    assert 0.0 < nonlinear_eh_inverse(params, 12e-3) < 2.0
