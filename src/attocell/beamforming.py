@@ -18,12 +18,13 @@ scaled until the tightest target is met, against gamma rescaled onto
 lambda_max(sum gamma G) = 1, which lower-bounds tr(W).  The first
 certificate whose gap is within tolerance is the answer.
 
-The core runs on a stack of B instances that share one target vector,
-as in a Monte-Carlo sweep over fading draws.  Each instance keeps its
-own step lengths, certificate, stop test and stall counter, and leaves
-the stack when it stops, so one instance's failure is its own.
-solve_aggregate_sdp_batch is that entry point, and solve_aggregate_sdp
-is its B = 1 case.
+The core runs on a stack of B instances, each with its own target
+vector over the same devices, as in a Monte-Carlo sweep over fading
+draws and demand levels.  Each instance keeps its own step lengths,
+certificate, stop test and stall counter, and leaves the stack when it
+stops, so one instance's failure is its own.  solve_aggregate_sdp_batch
+is that entry point: it stacks together the instances whose targets are
+positive on the same devices.  solve_aggregate_sdp is its B = 1 case.
 """
 
 from dataclasses import dataclass, field
@@ -121,64 +122,83 @@ def solve_aggregate_sdp(channels, targets, tol=1e-8):
 
 
 def solve_aggregate_sdp_batch(channel_sets, targets, tol=1e-8):
-    """solve_aggregate_sdp for many channel sets that share one target vector.
+    """solve_aggregate_sdp for many channel sets, each under its own targets.
 
+    ``targets`` is one target vector that every set shares (an EhTargets
+    or anything it accepts), or a 2-d array with one such row per set.
     Returns one entry per channel set: its PsdMatrix, or the
-    SolverStallError of that instance alone.  Malformed input (targets,
-    shapes, a channel that is not rank one, a zero channel under a
-    positive target) raises for the whole batch, as in the single solve.
-    A stacked linear-algebra routine raises for the whole stack, so on
-    that error path each channel set is solved alone, and a breakdown
-    lands on the instance it belongs to.
+    SolverStallError of that instance alone.  The sets whose targets are
+    positive on the same devices are solved as one stack; a device with
+    a zero target drops out of its instance, and an all-zero row is the
+    zero matrix.  Each row is normalized by its own maximum target and
+    channel scale.  Malformed input (targets, shapes, a channel that is
+    not rank one, a zero channel under a positive target) raises for the
+    whole batch, as in the single solve.  A stacked linear-algebra
+    routine raises for the whole stack, so on that error path each
+    channel set of the stack is solved alone, and a breakdown lands on
+    the instance it belongs to.
     """
-    if not isinstance(targets, EhTargets):
-        targets = EhTargets(input_targets=targets)
-    b_raw = targets.input_targets
-    g = _channel_stack(channel_sets, len(b_raw))
+    b_all = np.asarray(targets.input_targets if isinstance(targets, EhTargets) else targets,
+                       dtype=float)
+    # EhTargets' checks, on every row
+    EhTargets(input_targets=b_all.reshape(-1) if b_all.ndim == 2 else b_all)
+    g = _channel_stack(channel_sets, b_all.shape[-1])
     n_inst, n_dev, m = g.shape[:3]
-    active = np.flatnonzero(b_raw > 0.0)
-    if not n_inst:
-        return []
-    if not active.size:
-        return [PsdMatrix(entries=np.zeros((m, m), dtype=complex), objective=0.0,
-                          duals=np.zeros(n_dev), gap=0.0, iterations=0)
-                for _ in range(n_inst)]
-    zero = np.argwhere(np.trace(g[:, active], axis1=-2, axis2=-1).real <= 0.0)
+    if b_all.ndim == 2 and len(b_all) != n_inst:
+        raise DimensionMismatchError("one target row per channel set required")
+    b_all = np.broadcast_to(b_all, (n_inst, n_dev))
+    positive = b_all > 0.0
+    zero = np.argwhere(positive & (np.trace(g, axis1=-2, axis2=-1).real <= 0.0))
     if zero.size:
-        raise InfeasibleError(
-            f"device {active[zero[0, 1]]} has a zero channel but a positive target")
+        raise InfeasibleError(f"device {zero[0, 1]} has a zero channel but a positive target")
 
-    scale = float(np.max(b_raw[active]))
-    try:
-        vals, vecs = np.linalg.eigh(g[:, active])
-        if np.any(np.abs(vals[..., :-1]) > 1e-9 * vals[..., -1:]):
-            raise ValueError("channel matrix is not rank one")
-        # the vectors h_j with G_j = h_j h_j^H, as the columns of H
-        h = (np.sqrt(vals[..., -1])[..., None] * vecs[..., -1]).swapaxes(-1, -2)
-        h_scale = np.max(np.sum(np.abs(h) ** 2, axis=1), axis=1)
-        solved = _primal_dual(h / np.sqrt(h_scale)[:, None, None], b_raw[active] / scale, tol)
-    except np.linalg.LinAlgError as exc:
-        if n_inst > 1:
-            return [out for gs in g for out in solve_aggregate_sdp_batch([gs], targets, tol)]
-        err = SolverStallError(f"numerical breakdown: {exc}")
-        err.__cause__ = exc
-        return [err]
-    results = []
-    for out, hs in zip(solved, h_scale):
-        if isinstance(out, SolverStallError):
-            results.append(out)
+    results = [None] * n_inst
+    patterns, group = np.unique(positive, axis=0, return_inverse=True)
+    for k, active in enumerate(patterns):
+        rows = np.flatnonzero(group == k)
+        if not active.any():
+            for i in rows:
+                results[i] = PsdMatrix(entries=np.zeros((m, m), dtype=complex), objective=0.0,
+                                       duals=np.zeros(n_dev), gap=0.0, iterations=0)
             continue
-        w, gamma, obj, gap, steps = out
-        duals = np.zeros(n_dev)
-        duals[active] = gamma / hs  # free of the target scale
+        b = b_all[rows][:, active]
+        scale = b.max(axis=1)
         try:
-            results.append(PsdMatrix(entries=scale * (w / hs), objective=scale * (obj / hs),
-                                     duals=duals, gap=scale * (gap / hs), iterations=steps))
-        except ValueError as exc:
-            # a solver output that fails validation is a solver failure
-            err = SolverStallError(f"solver output rejected: {exc}")
-            err.__cause__ = exc
-            results.append(err)
+            vals, vecs = np.linalg.eigh(g[rows][:, active])
+            if np.any(np.abs(vals[..., :-1]) > 1e-9 * vals[..., -1:]):
+                raise ValueError("channel matrix is not rank one")
+            # the vectors h_j with G_j = h_j h_j^H, as the rows of H^T; each
+            # instance's H^T is made contiguous, so that the core sees one
+            # memory layout in any stack and an instance's bits do not depend
+            # on the stack it is solved in
+            h = np.ascontiguousarray(np.sqrt(vals[..., -1])[..., None] * vecs[..., -1])
+            h_scale = np.max(np.sum(np.abs(h) ** 2, axis=-1), axis=1)
+            h = (h / np.sqrt(h_scale)[:, None, None]).swapaxes(-1, -2)
+            solved = _primal_dual(h, b / scale[:, None], tol)
+        except np.linalg.LinAlgError as exc:
+            if len(rows) > 1:
+                for i in rows:
+                    results[i] = solve_aggregate_sdp_batch([g[i]], b_all[i], tol)[0]
+            else:
+                err = SolverStallError(f"numerical breakdown: {exc}")
+                err.__cause__ = exc
+                results[rows[0]] = err
+            continue
+        for i, out, hs, sc in zip(rows, solved, h_scale, scale):
+            if isinstance(out, SolverStallError):
+                results[i] = out
+                continue
+            w, gamma, obj, gap, steps = out
+            duals = np.zeros(n_dev)
+            duals[active] = gamma / hs  # free of the target scale
+            try:
+                results[i] = PsdMatrix(entries=sc * (w / hs), objective=sc * (obj / hs),
+                                       duals=duals, gap=sc * (gap / hs), iterations=steps)
+            except ValueError as exc:
+                # a solver output that fails validation is a solver failure
+                err = SolverStallError(f"solver output rejected: {exc}")
+                err.__cause__ = exc
+                results[i] = err
     return results
 
 
@@ -223,8 +243,8 @@ def _duality_measure(w, z, sg):
 def _primal_dual(h, b, tol):
     """Feasible primal-dual interior-point steps over a stack of instances.
 
-    ``h`` is (B, m, n): each instance's channel vectors, all sharing the
-    targets ``b``.  Every instance keeps its own step lengths,
+    ``h`` is (B, m, n): each instance's channel vectors, and ``b`` is
+    (B, n): its targets.  Every instance keeps its own step lengths,
     certificate, stop test and stall counter, and leaves the stack when
     it stops.  Returns, per instance, (W, duals, objective, gap, steps)
     of its first certificate within tolerance, or its SolverStallError.
@@ -276,7 +296,7 @@ def _primal_dual(h, b, tol):
         ok = floor > 0.0
         lam = face / np.where(ok, floor, 1.0)[:, None]
         obj = lam.sum(axis=1)
-        gap = obj - cert @ b
+        gap = obj - (cert * b).sum(axis=1)
         np.copyto(gap_min, gap, where=ok & (gap < gap_min))
 
         mu = _duality_measure(w, z, sg)
@@ -298,8 +318,8 @@ def _primal_dual(h, b, tol):
                 break
             nb = int(keep.sum())
             chol = chol[np.concatenate((keep, keep))]
-            h, hh, w, z, sg, mu, gap_min, mu_min, stale, live = (a[keep] for a in (
-                h, hh, w, z, sg, mu, gap_min, mu_min, stale, live))
+            h, hh, b, w, z, sg, mu, gap_min, mu_min, stale, live = (a[keep] for a in (
+                h, hh, b, w, z, sg, mu, gap_min, mu_min, stale, live))
             s, gamma = sg[:, 0], sg[:, 1]
 
         li = np.linalg.inv(chol)  # inverse Cholesky factors of W, then of Z

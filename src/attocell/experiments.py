@@ -194,8 +194,9 @@ def exp_rf_power(scenario, rf_levels=None, trials=100, theta=4e-3):
     bias solver run with the level as the cap (flagged infeasible when
     the demand cannot be covered).  Rician draws are reseeded per trial
     from the scenario seed so the table is reproducible.  Each distinct
-    normalised SDP target is solved once per draw, in one batch over the
-    draws, and shared by every row whose targets it scales to.
+    normalised SDP target is solved once per draw and shared by every row
+    whose targets it scales to; all (target, draw) instances go to one
+    batched solve.
     """
     _require_count("trials", trials)
     if rf_levels is None:
@@ -221,8 +222,8 @@ def exp_rf_power(scenario, rf_levels=None, trials=100, theta=4e-3):
                 for trial in range(trials)]
 
     # Each row's SDP targets b, built once.  The problem is positively
-    # homogeneous, so rows with equal b / max b share one batched solve
-    # over the draws, and a row's power is max b times its objective.
+    # homogeneous, so rows with equal b / max b share one solve per draw,
+    # and a row's power is max b times its objective.
     targets = []
     problems = {}
     for level, model, allocation, harvest in plans:
@@ -237,7 +238,9 @@ def exp_rf_power(scenario, rf_levels=None, trials=100, theta=4e-3):
         targets.append(b)
         if b is not None and b.max() > 0.0:
             problems.setdefault((b / b.max()).tobytes(), b / b.max())
-    solved = {key: solve_aggregate_sdp_batch(channels, b) for key, b in problems.items()}
+    unit = np.reshape(list(problems.values()), (len(problems), n_dev))
+    flat = solve_aggregate_sdp_batch(channels * len(unit), np.repeat(unit, trials, axis=0))
+    solved = {key: flat[k * trials:(k + 1) * trials] for k, key in enumerate(problems)}
 
     cols = {"rf_level_w": [], "model": [], "allocation": [], "feasible": [],
             "mean_power_w": [], "trials_ok": [], "solver_failures": []}

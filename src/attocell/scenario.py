@@ -101,6 +101,13 @@ def _position(value):
     return pos
 
 
+def _inside(pos, room, what):
+    """``pos``, refused unless it lies in the room, walls included."""
+    if np.any(pos < 0) or np.any(pos > room):
+        raise ScenarioError(f"{what} at {pos} outside the room")
+    return pos
+
+
 def _decibels(value):
     """A finite dB figure whose linear ratio 10^(dB/10) is finite too."""
     db = _number(value)
@@ -211,8 +218,7 @@ def _resolve(cfg):
 
     transmitters = []
     for pos, off in zip(positions, offsets):
-        if np.any(pos < 0) or np.any(pos > room):
-            raise ScenarioError(f"transmitter at {pos} outside the room")
+        _inside(pos, room, "transmitter")
         transmitters.append(OpticalTransmitter(
             pos, build_angle_diversity_layout(n_el, tilt, off), semiangle))
 
@@ -235,8 +241,7 @@ def _resolve(cfg):
             r = np.sqrt(dist * dist - drop * drop)
             pos = transmitters[ti].position + np.array(
                 [r * np.cos(bearing), r * np.sin(bearing), -drop])
-        if np.any(pos < 0) or np.any(pos > room):
-            raise ScenarioError(f"device {k} at {pos} outside the room")
+        _inside(pos, room, f"device {k}")
         devices.append(Device(position=pos, detector=detector))
     if not devices:
         raise ScenarioError("scenario has no devices")
@@ -250,7 +255,7 @@ def _resolve(cfg):
 
     rf_cfg = _require(cfg, "rf", "scenario")
     rf_ap = RfAccessPoint(
-        position=_require(rf_cfg, "access_point", "rf", _position),
+        position=_inside(_require(rf_cfg, "access_point", "rf", _position), room, "access_point"),
         antennas=_require(rf_cfg, "antennas", "rf", _integer),
     )
     rician = _require(rf_cfg, "rician_factor_db", "rf", _decibels)

@@ -358,3 +358,39 @@ def test_batch_validates_like_single_solve():
         solve_aggregate_sdp_batch([sets[0], [g[:5, :5] for g in sets[1]]], b)
     idle = solve_aggregate_sdp_batch(sets, np.zeros(5))
     assert [agg.objective for agg in idle] == [0.0, 0.0]
+
+
+def test_batch_takes_one_target_row_per_set():
+    # a shared-target block, rows with one zero target, a row of another
+    # scale and an all-zero row, in one call
+    sets, b = _rng717_sets(7)
+    gap_b = b.copy()
+    gap_b[2] = 0.0
+    rows = np.array([b, b, b, gap_b, 1e3 * gap_b[::-1], np.zeros(5), 1e-6 * b])
+    batch = solve_aggregate_sdp_batch(sets, rows)
+    for k, (agg, channels, row) in enumerate(zip(batch, sets, rows)):
+        single = solve_aggregate_sdp(channels, row)
+        assert (agg.objective, agg.iterations) == (single.objective, single.iterations), k
+        np.testing.assert_array_equal(agg.entries, single.entries)
+        np.testing.assert_array_equal(agg.duals, single.duals)
+    assert batch[5].objective == 0.0 and batch[5].iterations == 0
+    assert batch[3].duals[2] == 0.0
+
+    with pytest.raises(DimensionMismatchError, match="one target row per channel set"):
+        solve_aggregate_sdp_batch(sets, rows[:6])
+    zero = [sets[0], [g if j != 3 else np.zeros((6, 6), dtype=complex)
+                      for j, g in enumerate(sets[1])]]
+    with pytest.raises(InfeasibleError, match="device 3"):
+        solve_aggregate_sdp_batch(zero, np.array([b, b]))
+    # under a zero target the zero channel drops out of its instance
+    cleared = b.copy()
+    cleared[3] = 0.0
+    assert all(isinstance(agg, PsdMatrix) for agg in
+               solve_aggregate_sdp_batch(zero, np.array([b, cleared])))
+
+    broken = [sets[0], [g.copy() for g in sets[1]], sets[2], sets[3]]
+    broken[1][1][0, 0] = np.nan  # its eigensolve cannot converge
+    batch = solve_aggregate_sdp_batch(broken, np.array([b, b, gap_b, gap_b]))
+    assert isinstance(batch[1], SolverStallError)
+    assert "numerical breakdown" in str(batch[1])
+    assert all(isinstance(batch[k], PsdMatrix) for k in (0, 2, 3))

@@ -445,6 +445,10 @@ def test_empty_transmitter_list_is_config_error(tmp_path, capsys, argv):
     pytest.param({("devices",): [{"position": [2.5, 2.5, 1.0]}], ("rf", "access_point"):
                   [2.5, 2.5, 1.0]}, "coincides with the access point", id="ap-on-device"),
     pytest.param({("rf", "antennas"): 1e300}, "dimension", id="rf.antennas=1e300"),
+    pytest.param({("rf", "access_point"): [2.5, 2.5, 1e300]}, "access_point at",
+                 id="rf.access_point-far"),
+    pytest.param({("rf", "access_point"): [-1.0, 2.5, 3.0]}, "access_point at",
+                 id="rf.access_point-negative"),
     pytest.param({("rf_harvest", "turn_on"): 1e300}, "steepness x turn_on",
                  id="rf_harvest.turn_on=1e300"),
     pytest.param({("rf_harvest", "steepness"): 1e300}, "steepness x turn_on",

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import attocell.experiments as experiments
-from attocell.beamforming import solve_aggregate_sdp_batch
-from attocell.channels import build_vlc_matrix
+from attocell.beamforming import (build_eh_targets, solve_aggregate_sdp,
+                                  solve_aggregate_sdp_batch)
+from attocell.channels import build_vlc_matrix, sample_rf_channel
 from attocell.energy import vlc_harvested_power, vlc_snr_db
 from attocell.errors import InfeasibleError, SolverStallError
 from attocell.experiments import (ExperimentResult, exp_eh_allocation,
@@ -191,17 +192,21 @@ def test_rf_power_zero_level(scenario):
 
 
 def _count_batches(monkeypatch, inject=None):
-    # record (normalized targets, instances) of every batched SDP call
+    # record (channel sets, target rows) of every batched SDP call
     calls = []
 
     def counted(channel_sets, targets, tol=1e-8):
-        b = np.asarray(targets, dtype=float)
-        calls.append((b, len(channel_sets)))
+        calls.append((channel_sets, np.asarray(targets, dtype=float)))
         out = solve_aggregate_sdp_batch(channel_sets, targets, tol)
-        return inject(b, out) if inject else out
+        return inject(channel_sets, calls[-1][1], out) if inject else out
 
     monkeypatch.setattr(experiments, "solve_aggregate_sdp_batch", counted)
     return calls
+
+
+def _draw(scenario, trial):
+    return sample_rf_channel(scenario.rf_ap, scenario.devices, scenario.rician_factor_db,
+                             scenario.path_loss_exponent, scenario.seed ^ trial).outer_products()
 
 
 def test_rf_power_solves_each_normalized_problem_once(scenario, monkeypatch):
@@ -209,10 +214,15 @@ def test_rf_power_solves_each_normalized_problem_once(scenario, monkeypatch):
     res = exp_rf_power(scenario, trials=3)
     # one uniform problem (b = 1 at every level and model), the linear and
     # nonlinear optimal rows at 2 mW, and those at 4 mW, which the 6 mW rows
-    # repeat; the two 0 mW uniform rows are all-zero and make no call
-    assert [n for _, n in calls] == [3] * 5
-    assert all(b.max() == 1.0 for b, _ in calls)
-    assert len({b.tobytes() for b, _ in calls}) == 5
+    # repeat; the two 0 mW uniform rows are all-zero and need no instance
+    ((channel_sets, rows),) = calls
+    assert rows.shape == (5 * 3, 5) and len(channel_sets) == 5 * 3
+    assert np.all(rows.max(axis=1) == 1.0)
+    draws = [np.asarray(_draw(scenario, t)).tobytes() for t in range(3)]
+    pairs = {(row.tobytes(), draws.index(np.asarray(gs).tobytes()))
+             for row, gs in zip(rows, channel_sets)}
+    assert len(pairs) == 5 * 3
+    assert len({row.tobytes() for row in rows}) == 5
     idle = ((np.array(res.columns["rf_level_w"]) == 0.0)
             & (np.array(res.columns["allocation"]) == "uniform"))
     assert idle.sum() == 2
@@ -221,9 +231,12 @@ def test_rf_power_solves_each_normalized_problem_once(scenario, monkeypatch):
 
 
 def test_rf_power_stall_fails_its_draw_in_every_sharing_row(scenario, monkeypatch):
-    def stall_draw_1_of_uniform(b, out):
-        if np.all(b == 1.0):
-            out[1] = SolverStallError("injected")
+    draw_1 = np.asarray(_draw(scenario, 1))
+
+    def stall_draw_1_of_uniform(channel_sets, rows, out):
+        for k, (gs, row) in enumerate(zip(channel_sets, rows)):
+            if np.all(row == 1.0) and np.array_equal(gs, draw_1):
+                out[k] = SolverStallError("injected")
         return out
 
     _count_batches(monkeypatch, stall_draw_1_of_uniform)
@@ -242,15 +255,52 @@ def test_rf_power_counts_rejected_solver_output(scenario, monkeypatch):
     core = beamforming._primal_dual
 
     def corrupted(h, b, tol):
+        # the first instance of the uniform problem (b = 1) comes back non-Hermitian
         out = core(h, b, tol)
-        w = out[0][0].copy()
-        w[0, 1] += 1.0
-        return [(w, *out[0][1:])] + out[1:]
+        uniform = np.flatnonzero(np.all(b == 1.0, axis=1))
+        if uniform.size:
+            w = out[uniform[0]][0].copy()
+            w[0, 1] += 1.0
+            out[uniform[0]] = (w, *out[uniform[0]][1:])
+        return out
 
     monkeypatch.setattr(beamforming, "_primal_dual", corrupted)
     res = exp_rf_power(scenario, rf_levels=[2e-3], trials=2)
-    assert res.columns["solver_failures"] == [1, 1, 1, 1]
-    assert res.columns["trials_ok"] == [1, 1, 1, 1]
+    assert res.columns["allocation"] == ["uniform", "optimal", "uniform", "optimal"]
+    assert res.columns["solver_failures"] == [1, 0, 1, 0]
+    assert res.columns["trials_ok"] == [1, 2, 1, 2]
+
+
+@pytest.mark.parametrize("layout", ["bundled", "jittered"])
+def test_rf_power_means_equal_single_solves(scenario, layout):
+    if layout == "jittered":
+        rng = np.random.default_rng(24)
+        devices = tuple(dataclasses.replace(d, position=d.position + np.append(
+            rng.uniform(-0.3, 0.3, 2), 0.0)) for d in scenario.devices)
+        scenario = dataclasses.replace(scenario, devices=devices)
+    levels = [0.0, 2e-3, 4e-3]
+    res = exp_rf_power(scenario, rf_levels=levels, trials=3)
+    matrix = build_vlc_matrix(scenario.transmitters, scenario.devices)
+    expected = []
+    for level in levels:
+        sol = solve_op1(matrix, scenario.drive, scenario.vlc_eh, scenario.bias,
+                        scenario.noise_power, 4e-3, level)
+        for model in ("nonlinear", "linear"):
+            for harvest in (np.full(len(scenario.devices), level),
+                            sol.rf_targets if sol.feasible else None):
+                if harvest is None:
+                    expected.append(np.nan)
+                    continue
+                b = (build_eh_targets(harvest, scenario.rf_nonlinear).input_targets
+                     if model == "nonlinear" else harvest / scenario.rf_linear.efficiency)
+                if b.max() == 0.0:
+                    expected.append(0.0)
+                    continue
+                expected.append(float(np.mean([
+                    b.max() * solve_aggregate_sdp(_draw(scenario, t), b / b.max()).objective
+                    for t in range(3)])))
+    np.testing.assert_array_equal(res.columns["mean_power_w"], expected)
+    assert res.columns["solver_failures"] == [0] * len(expected)
 
 
 def test_subopt_gap_experiment(scenario):
