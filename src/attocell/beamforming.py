@@ -7,16 +7,22 @@ optimized and beams are read off its eigendecomposition afterwards.
 
 Every channel is rank one, G_j = h_j h_j^H, so the dual has one scalar
 per device: maximize b.gamma subject to Z = I - sum gamma_j G_j PSD and
-gamma >= 0.  A feasible primal-dual interior-point method carries W, the
-primal slacks s_j = h_j^H W h_j - b_j and gamma together.  Each step
-linearizes W Z = mu I (the HKM direction; Helmberg, Rendl, Vanderbei and
-Wolkowicz, SIAM J. Optim. 1996) and s_j gamma_j = mu, which leaves a
-J x J Schur system over the devices with positive targets, and picks mu
-by Mehrotra's predictor rule (SIAM J. Optim. 1992).  Every iterate is
-certified on its optimal face: the eigen-directions of W that outweigh Z,
-scaled until the tightest target is met, against gamma rescaled onto
-lambda_max(sum gamma G) = 1, which lower-bounds tr(W).  The first
-certificate whose gap is within tolerance is the answer.
+gamma >= 0.  The optimal W lies in the span of the channels (Huang and
+Palomar, IEEE TSP 2010): with a thin QR of the channel vectors, H = Q R,
+the problem is the same one over k x k matrices V with W = Q V Q^H and
+the columns of R as channels, k = min(m, n).  A feasible primal-dual
+interior-point method carries V, the primal slacks s_j = r_j^H V r_j -
+b_j and gamma together.  Each step linearizes V Z = tau I (the HKM
+direction; Helmberg, Rendl, Vanderbei and Wolkowicz, SIAM J. Optim. 1996)
+and s_j gamma_j = tau, which leaves a J x J Schur system over the devices
+with positive targets.  Steps are Mehrotra's predictor-corrector (SIAM J.
+Optim. 1992): an affine step sets tau from its progress, and the centred
+step also cancels the affine step's second-order terms.  One
+eigendecomposition of V and Z per step is the whole factorization.
+Every iterate is certified on its optimal face: the eigen-directions of
+V that outweigh Z, scaled until the tightest target is met, against gamma
+rescaled onto lambda_max(sum gamma G) = 1, which lower-bounds tr(V).  The
+first certificate whose gap is within tolerance is the answer.
 
 The core runs on a stack of B instances, each with its own target
 vector over the same devices, as in a Monte-Carlo sweep over fading
@@ -167,14 +173,12 @@ def solve_aggregate_sdp_batch(channel_sets, targets, tol=1e-8):
             vals, vecs = np.linalg.eigh(g[rows][:, active])
             if np.any(np.abs(vals[..., :-1]) > 1e-9 * vals[..., -1:]):
                 raise ValueError("channel matrix is not rank one")
-            # the vectors h_j with G_j = h_j h_j^H, as the rows of H^T; each
-            # instance's H^T is made contiguous, so that the core sees one
-            # memory layout in any stack and an instance's bits do not depend
-            # on the stack it is solved in
-            h = np.ascontiguousarray(np.sqrt(vals[..., -1])[..., None] * vecs[..., -1])
+            # the vectors h_j with G_j = h_j h_j^H, as the rows of H^T
+            h = np.sqrt(vals[..., -1])[..., None] * vecs[..., -1]
             h_scale = np.max(np.sum(np.abs(h) ** 2, axis=-1), axis=1)
-            h = (h / np.sqrt(h_scale)[:, None, None]).swapaxes(-1, -2)
-            solved = _primal_dual(h, b / scale[:, None], tol)
+            # the core solves for V with W = Q V Q^H, H = Q R its thin QR
+            q, r = np.linalg.qr((h / np.sqrt(h_scale)[:, None, None]).swapaxes(-1, -2))
+            solved = _primal_dual(r, b / scale[:, None], tol)
         except np.linalg.LinAlgError as exc:
             if len(rows) > 1:
                 for i in rows:
@@ -184,11 +188,12 @@ def solve_aggregate_sdp_batch(channel_sets, targets, tol=1e-8):
                 err.__cause__ = exc
                 results[rows[0]] = err
             continue
-        for i, out, hs, sc in zip(rows, solved, h_scale, scale):
+        for i, out, qi, hs, sc in zip(rows, solved, q, h_scale, scale):
             if isinstance(out, SolverStallError):
                 results[i] = out
                 continue
-            w, gamma, obj, gap, steps = out
+            v, gamma, obj, gap, steps = out
+            w = qi @ v @ _herm(qi)
             duals = np.zeros(n_dev)
             duals[active] = gamma / hs  # free of the target scale
             try:
@@ -227,12 +232,6 @@ def _herm(a):
     return a.conj().swapaxes(-1, -2)
 
 
-def _step_length(x, dx):
-    """min(1, 0.95 alpha) per row, alpha the largest step with x + alpha dx >= 0,
-    for x > 0 along the last axis."""
-    return (0.95 * x / np.maximum(-dx, 0.95 * x)).min(axis=-1)
-
-
 def _duality_measure(w, z, sg):
     """(tr(W Z) + s.gamma) / (m + n) per instance."""
     m, n = w.shape[-1], sg.shape[-1]
@@ -243,7 +242,8 @@ def _duality_measure(w, z, sg):
 def _primal_dual(h, b, tol):
     """Feasible primal-dual interior-point steps over a stack of instances.
 
-    ``h`` is (B, m, n): each instance's channel vectors, and ``b`` is
+    ``h`` is (B, k, n): each instance's channel vectors (the caller
+    passes R of the thin QR H = Q R, so k = min(m, n)), and ``b`` is
     (B, n): its targets.  Every instance keeps its own step lengths,
     certificate, stop test and stall counter, and leaves the stack when
     it stops.  Returns, per instance, (W, duals, objective, gap, steps)
@@ -251,12 +251,20 @@ def _primal_dual(h, b, tol):
 
     The iterate is W, the primal slacks s_j = h_j^H W h_j - b_j and the
     duals gamma (``sg`` holds s and gamma as rows), with Z = I - sum
-    gamma_j G_j; tr(W Z) + s.gamma is its duality gap.  Each iterate is
-    certified on its optimal face: the eigen-directions u of W with
-    lambda(W) > u^H Z u, which strict complementarity separates at the
-    optimum, scaled until the tightest target is met exactly, against
-    gamma rescaled onto lambda_max(sum gamma G) = 1, where it
-    lower-bounds tr(W).
+    gamma_j G_j; tr(W Z) + s.gamma is its duality gap.  One eigensolve
+    of the stack (W, Z) per step is the whole factorization: it gives
+    W's eigenpairs for the certificate, lambda_max(sum gamma G) =
+    1 - lambda_min(Z), Z^-1, and the scalings F = U lambda^-1/2 under
+    which F^H dW F has the spectrum of W^-1 dW, for the step lengths.
+    A non-positive eigenvalue is a breakdown.  Each step is Mehrotra's
+    predictor-corrector: the affine step sets the centering target
+    tau = (mu_aff / mu)^3 mu, and the centred step also cancels the
+    affine step's second-order terms dW_a dZ_a and ds_a dgamma_a.
+    Each iterate is certified on its optimal face: the eigen-directions
+    u of W with lambda(W) > u^H Z u, which strict complementarity
+    separates at the optimum, scaled until the tightest target is met
+    exactly, against gamma rescaled onto lambda_max(sum gamma G) = 1,
+    where it lower-bounds tr(W).
     """
     n_inst, m, n = h.shape
     results = [None] * n_inst
@@ -274,10 +282,12 @@ def _primal_dual(h, b, tol):
     while live.size:
         nb = len(live)
         s, gamma = sg[:, 0], sg[:, 1]
-        gsum = (h * gamma[:, None, :]) @ hh
-        z = eye_m - gsum
+        z = eye_m - (h * gamma[:, None, :]) @ hh
         try:
-            chol = np.linalg.cholesky(np.concatenate((w, z)))
+            # eigenpairs of W, then of Z
+            evals, evecs = np.linalg.eigh(np.concatenate((w, z)))
+            if not evals[:, 0].min() > 0.0:
+                raise np.linalg.LinAlgError("iterate outside the cone")
         except np.linalg.LinAlgError:
             # a stack is re-solved one instance at a time by the caller, and a
             # breakdown at the starting point is reported as such
@@ -286,29 +296,31 @@ def _primal_dual(h, b, tol):
             # rounding has pushed a late iterate off the cone: no more progress
             return [_stalled(mu_min[0], gap_min[0], tol)]
 
-        # W's eigenpairs and lambda_max(sum gamma G) in one eigensolve
-        evals, evecs = np.linalg.eigh(np.concatenate((w, gsum)))
-        cert = gamma * ((1.0 - 1e-12) / evals[nb:, -1])[:, None]
-        evals, evecs = evals[:nb], evecs[:nb]
-        zq = (evecs.conj() * (z @ evecs)).sum(axis=1).real
-        face = evals * (evals > zq)
-        floor = ((face[:, None, :] @ np.abs(_herm(evecs) @ h) ** 2)[:, 0] / b).min(axis=1)
+        # gamma rescaled onto lambda_max(sum gamma G) = 1 - lambda_min(Z), which
+        # has the 1e-12 relative accuracy the margin needs only above 1e-3;
+        # below it the rescaled gamma is still dual feasible, only weaker
+        cert = gamma * ((1.0 - 1e-12) / np.maximum(1.0 - evals[nb:, :1], 1e-3))
+        lam_w, u = evals[:nb], evecs[:nb]
+        uh2 = np.abs(_herm(u) @ h) ** 2  # |u_i^H h_j|^2
+        zq = 1.0 - (uh2 @ gamma[:, :, None])[..., 0]  # u_i^H Z u_i
+        face = lam_w * (lam_w > zq)
+        floor = ((face[:, None, :] @ uh2)[:, 0] / b).min(axis=1)
         ok = floor > 0.0
         lam = face / np.where(ok, floor, 1.0)[:, None]
         obj = lam.sum(axis=1)
         gap = obj - (cert * b).sum(axis=1)
         np.copyto(gap_min, gap, where=ok & (gap < gap_min))
 
-        mu = _duality_measure(w, z, sg)
+        # (tr(W Z) + s.gamma) / (m + n), with tr(W Z) = sum_i lambda_i u_i^H Z u_i
+        mu = ((lam_w * zq).sum(axis=1) + (s * gamma).sum(axis=1)) / (m + n)
         done = ok & (gap <= tol * (1.0 + np.abs(obj)))
-        improved = mu < mu_min
-        stale = (stale + 1) * ~improved
-        mu_min = np.where(improved, mu, mu_min)
+        stale = np.where(mu < mu_min, 0, stale + 1)
+        mu_min = np.minimum(mu, mu_min)
         stop = done | (stale >= 5)
         if stop.any():
             for i in np.flatnonzero(stop):
                 if done[i]:
-                    face_w = (evecs[i] * lam[i]) @ _herm(evecs[i])
+                    face_w = (u[i] * lam[i]) @ _herm(u[i])
                     results[live[i]] = (0.5 * (face_w + _herm(face_w)), cert[i],
                                         float(obj[i]), float(gap[i]), steps)
                 else:
@@ -317,50 +329,56 @@ def _primal_dual(h, b, tol):
             if not keep.any():
                 break
             nb = int(keep.sum())
-            chol = chol[np.concatenate((keep, keep))]
+            evals, evecs = (a[np.concatenate((keep, keep))] for a in (evals, evecs))
             h, hh, b, w, z, sg, mu, gap_min, mu_min, stale, live = (a[keep] for a in (
                 h, hh, b, w, z, sg, mu, gap_min, mu_min, stale, live))
             s, gamma = sg[:, 0], sg[:, 1]
 
-        li = np.linalg.inv(chol)  # inverse Cholesky factors of W, then of Z
-        li_h = _herm(li)
-        zinv = li_h[nb:] @ li[nb:]
-        zh = zinv @ h
-        zh_h = _herm(zh)
+        f = evecs / np.sqrt(evals)[:, None, :]  # F^H W F = I, then F^H Z F = I
+        f_h = _herm(f)
+        fzh = f_h[nb:] @ h
+        zinv = f[nb:] @ f_h[nb:]
+        zh_h = _herm(f[nb:] @ fzh)
+        hzh = _herm(fzh) @ fzh
         wh = w @ h
-        hzh = hh @ zh
-        # Schur complement of the HKM direction: one J x J system per step.
-        # Its right-hand side b + target (1/gamma - diag(H^H Z^-1 H)) is
-        # affine in the centering target, so one solve serves both steps.
+        # Schur complement of the HKM direction: one J x J system per step,
+        # whose right-hand side is b for the affine step
         s_over_g = s / gamma
         schur = (hh @ wh * hzh.conj()).real + s_over_g[:, :, None] * eye_n
-        rhs = np.empty((nb, n, 2))
-        rhs[..., 0] = b
-        rhs[..., 1] = 1.0 / gamma - np.einsum("bjj->bj", hzh).real
-        dg_both = np.linalg.solve(schur, rhs)
 
-        def direction(target):
-            """Step and step lengths (primal, dual) for a (B, 1) centering target."""
-            dg = dg_both[..., 0] + target * dg_both[..., 1]
-            dz = -(h * dg[:, None, :]) @ hh
-            t = (wh * dg[:, None, :]) @ zh_h
-            dw = target[:, :, None] * zinv - w + 0.5 * (t + _herm(t))
-            ds = target / gamma - s - s_over_g * dg
-            dsg = np.concatenate((ds[:, None], dg[:, None]), axis=1)
-            # primal and dual boundaries in one eigensolve: W + a dW stays PSD
-            # while 1 + a lambda_min(L^-1 dW L^-H) >= 0, and the step taken
-            # is min(1, 0.95 a) of the largest such a
-            lam_min = np.linalg.eigvalsh(li @ np.concatenate((dw, dz)) @ li_h)[:, 0]
-            cone = 0.95 / np.maximum(-lam_min, 0.95)
-            step = np.minimum(cone.reshape(2, nb).T, _step_length(sg, dsg))
-            return dw, dz, dsg, step
+        def direction(rhs, dw0, ds0, corr):
+            """The step whose Schur right-hand side is ``rhs``: dW = dw0 +
+            sym(W H diag(dgamma) H^H Z^-1 - corr), ds = ds0 - (s / gamma) dgamma,
+            and its (primal, dual) lengths."""
+            dg = np.linalg.solve(schur, rhs[..., None])[..., 0]
+            t = (wh * dg[:, None, :]) @ zh_h - corr
+            dw = dw0 + 0.5 * (t + _herm(t))
+            dsg = np.stack((ds0 - s_over_g * dg, dg), axis=1)
+            # W + a dW stays PSD while 1 + a lambda_min(F^H dW F) >= 0, Z + a dZ
+            # while 1 + a lambda_min(F^H dZ F) >= 0 with F^H dZ F = -F^H H D H^H F,
+            # and s + a ds > 0 while 1 + a min(ds / s) > 0: each side steps
+            # min(1, 0.95 a) of the largest such a
+            scaled = np.empty_like(f)
+            np.matmul(f_h[:nb] @ dw, f[:nb], out=scaled[:nb])
+            np.matmul(fzh * -dg[:, None, :], _herm(fzh), out=scaled[nb:])
+            lam_min = np.minimum(np.linalg.eigvalsh(scaled)[:, 0].reshape(2, nb).T,
+                                 (dsg / sg).min(axis=2))
+            return dw, dg, dsg, 0.95 / np.maximum(-lam_min, 0.95)
 
-        # Mehrotra: the affine step's progress sets the centering weight
-        dw, dz, dsg, step = direction(np.zeros((nb, 1)))
-        mu_aff = _duality_measure(w + step[:, 0, None, None] * dw,
-                                  z + step[:, 1, None, None] * dz,
-                                  sg + step[:, :, None] * dsg)
-        dw, _, dsg, step = direction(((mu_aff / mu) ** 3 * mu)[:, None])
+        # Mehrotra: the affine step's progress sets the centering target tau
+        dw_a, dg_a, dsg_a, step = direction(b, -w, -s, 0.0)
+        dz_a = -(h * dg_a[:, None, :]) @ hh
+        mu_aff = _duality_measure(w + step[:, 0, None, None] * dw_a,
+                                  z + step[:, 1, None, None] * dz_a,
+                                  sg + step[:, :, None] * dsg_a)
+        tau = ((mu_aff / mu) ** 3 * mu)[:, None]
+        # the corrector: C = dW_a dZ_a Z^-1 and ds_a dgamma_a leave the
+        # linearized W Z = tau I and s gamma = tau
+        corr = dw_a @ dz_a @ zinv
+        ts = (tau - dsg_a[:, 0] * dsg_a[:, 1]) / gamma
+        rhs = (b + ts - tau * np.einsum("bjj->bj", hzh).real
+               + np.einsum("bjl,blj->bj", hh @ corr, h).real)
+        dw, _, dsg, step = direction(rhs, tau[:, :, None] * zinv - w, ts - s, corr)
         w = w + step[:, 0, None, None] * dw
         w = 0.5 * (w + _herm(w))
         sg = sg + step[:, :, None] * dsg

@@ -312,9 +312,9 @@ def exp_illuminance(scenario, bias=8.5e-3, grid_step=0.1):
                            grid_step=grid_step)
     xs, ys = np.meshgrid(imap.xs, imap.ys, indexing="ij")
     cols = {
-        "x_m": [float(v) for v in xs.ravel()],
-        "y_m": [float(v) for v in ys.ravel()],
-        "lux": [float(v) for v in imap.values.ravel()],
+        "x_m": xs.ravel().tolist(),
+        "y_m": ys.ravel().tolist(),
+        "lux": imap.values.ravel().tolist(),
     }
     n = len(cols["x_m"])
     cols.update(_provenance(scenario, n, "direct"))

@@ -122,14 +122,19 @@ def test_solve_direct_matches_centralized(tmp_path, method):
     assert (central / "trace_centralized.jsonl").exists()
 
 
-@pytest.mark.parametrize("routine", ["cholesky", "solve"])
+@pytest.mark.parametrize("routine", ["eigh", "solve"])
 def test_numerical_breakdown_is_solver_failure(tmp_path, monkeypatch, routine):
+    # eigh factors the channels and every step, solve the Schur system of
+    # every step; two devices, so that the solve takes steps
+    gs = [np.outer(v, np.conj(v)) for v in ([1.0, 1j], [1.0, 0.5])]
+    b = np.array([1e-3, 2e-3])
+    assert solve_aggregate_sdp(gs, b).iterations > 0
+
     def breakdown(*args, **kwargs):
         raise np.linalg.LinAlgError("injected breakdown")
     monkeypatch.setattr(np.linalg, routine, breakdown)
-    g = np.outer([1.0, 1j], [1.0, -1j])
-    with pytest.raises(SolverStallError):
-        solve_aggregate_sdp([g], np.array([1e-3]))
+    with pytest.raises(SolverStallError, match="numerical breakdown"):
+        solve_aggregate_sdp(gs, b)
     code = main(["solve", "--theta", "4mW", "--out-dir", str(tmp_path)])
     assert code == EXIT_SOLVER
 
