@@ -54,7 +54,8 @@ def main(argv=None):
         result.to_csv(path)
         keys = ", ".join(f"{k}={v:.6g}" for k, v in sorted(result.meta.items())
                          if isinstance(v, float))
-        print(f"{name:24s} {result.n_rows:6d} rows  {time.perf_counter()-t0:6.1f}s  {keys}")
+        ms = (time.perf_counter() - t0) * 1e3
+        print(f"{name:24s} {result.n_rows:6d} rows  {ms:9.1f} ms  {keys}")
 
 
 if __name__ == "__main__":

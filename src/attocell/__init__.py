@@ -26,7 +26,8 @@ from .beamforming import (BeamformingSolution, EhTargets, PsdMatrix,
                           required_power_linear, solve_aggregate_sdp,
                           solve_aggregate_sdp_batch, verify_beamforming)
 from .numerics import lambert_w0
-from .orchestrator import (ControlMessage, TraceLog, replay, run_centralized,
+from .orchestrator import (ControlMessage, TraceLog, control_centralized,
+                           control_semi_decentralized, replay, run_centralized,
                            run_semi_decentralized)
 from .experiments import (ExperimentResult, exp_eh_allocation,
                           exp_feasibility_vs_theta, exp_illuminance,

@@ -21,7 +21,7 @@ from .energy import vlc_harvested_power, vlc_snr_db
 from .errors import InfeasibleError, SolverStallError, TargetUnreachableError
 from .illumination import illuminance_map
 from .lightwave import solve_op1, solve_op1_grid
-from .orchestrator import run_centralized, run_semi_decentralized
+from .orchestrator import control_centralized, control_semi_decentralized
 
 __all__ = [
     "ExperimentResult",
@@ -280,8 +280,8 @@ def exp_subopt_gap(scenario, theta_grid=None):
     """Optimal-vs-closed-form min SNR and message counts across a demand sweep.
 
     The centralized run uses the bisection bias (the reference); the
-    semi-decentralized run is the closed form.  An infeasible demand
-    stays in the table as a flagged row instead of aborting the sweep.
+    semi-decentralized run is the closed form; no AP step runs.  An
+    infeasible demand stays a flagged row instead of aborting the sweep.
     """
     if theta_grid is None:
         theta_grid = gap_theta_grid()
@@ -290,12 +290,12 @@ def exp_subopt_gap(scenario, theta_grid=None):
             "messages_centralized": [], "messages_semi": []}
     for theta in np.asarray(theta_grid, dtype=float):
         try:
-            sol_c, _, trace_c = run_centralized(scenario, float(theta))
-            sol_s, _, trace_s = run_semi_decentralized(scenario, float(theta))
+            sol_c, trace_c = control_centralized(scenario, float(theta))
+            sol_s, trace_s = control_semi_decentralized(scenario, float(theta))
             row = (True, sol_c.min_snr_db, sol_s.min_snr_db,
                    abs(sol_c.min_snr_db - sol_s.min_snr_db), len(trace_c), len(trace_s))
         except InfeasibleError as err:
-            row = (False, -np.inf, -np.inf, np.nan, len(getattr(err, "trace", [])), 0)
+            row = (False, -np.inf, -np.inf, np.nan, len(err.trace), 0)
         for name, value in zip(cols, (float(theta),) + row):
             cols[name].append(value)
     gaps = [gap for ok, gap in zip(cols["feasible"], cols["gap_db"]) if ok]

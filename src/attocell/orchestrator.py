@@ -8,12 +8,14 @@ Semi-decentralized: devices upload two scalars each (serving gain and
 gain sum), the control unit solves only the RF/light split for the
 worst-off device and broadcasts that device's gain sum and light
 target; every cell then recovers the bias locally through the closed
-form, one designated cell reports it back, and the control unit
-forwards per-device harvest targets to the access point.
+form, one designated cell reports the bias it computed, and the
+control unit forwards per-device harvest targets to the access point.
 
-The control unit reads its uplink from the trace, so both runners and
-``replay`` solve from one decoder, and every mode (``attocell solve
---mode direct`` too) reaches the access point through ``ap_solve``.
+Each mode's control plane is one step that ends with the AP's targets
+(``control_centralized``, ``control_semi_decentralized``).  It reads
+its uplink from the trace, so both steps and ``replay`` solve from one
+decoder, and every mode (``attocell solve --mode direct`` too) reaches
+the access point through ``ap_solve``.
 Both runs return the same solution objects a direct library call would
 produce; the traces differ, and that difference is the point.  Actors
 only see what was messaged to them plus static configuration, so the
@@ -28,12 +30,14 @@ import numpy as np
 
 from .beamforming import build_eh_targets, extract_beams, solve_aggregate_sdp
 from .channels import VlcChannelMatrix, build_vlc_matrix, sample_rf_channel
-from .errors import InfeasibleError
-from .lightwave import solve_op1_from_gains
+from .errors import InfeasibleError, SolverStallError
+from .lightwave import solve_bias_closed_form, solve_op1_from_gains
 
 __all__ = [
     "ControlMessage",
     "TraceLog",
+    "control_centralized",
+    "control_semi_decentralized",
     "run_centralized",
     "run_semi_decentralized",
     "ap_solve",
@@ -119,12 +123,20 @@ class TraceLog:
         return trace
 
 
+def _coverable(solution, trace=None):
+    """``solution``, or InfeasibleError carrying ``trace`` if it leaves the demand uncovered."""
+    if not solution.feasible:
+        err = InfeasibleError(f"demand {solution.theta} W not coverable "
+                              f"under RF cap {solution.rf_cap} W")
+        err.trace = trace
+        raise err
+    return solution
+
+
 def ap_solve(scenario, solution):
     """The access point's step in every mode: invert the rectifier, run the
     power SDP.  Raises InfeasibleError when the split is infeasible."""
-    if not solution.feasible:
-        raise InfeasibleError(f"demand {solution.theta} W not coverable "
-                              f"under RF cap {solution.rf_cap} W")
+    _coverable(solution)
     rf = sample_rf_channel(scenario.rf_ap, scenario.devices,
                            scenario.rician_factor_db,
                            scenario.path_loss_exponent, scenario.seed)
@@ -154,26 +166,25 @@ def _controller_step(trace, scenario, theta, rf_cap, method):
         sums = np.array([m.payload["gain_sum"] for m in summaries])
     else:
         raise ValueError(f"unknown trace mode {trace.mode!r}")
-    return solve_op1_from_gains(
-        serving, sums, scenario.drive, scenario.vlc_eh, scenario.bias,
-        scenario.noise_power, theta, rf_cap, method=method)
+    solution = solve_op1_from_gains(
+        serving, sums, scenario.drive, scenario.vlc_eh, scenario.bias, scenario.noise_power,
+        theta, scenario.rf_exposure_cap if rf_cap is None else rf_cap, method=method)
+    return _coverable(solution, trace)
 
 
-def _dispatch(scenario, trace, solution, broadcasts):
-    """Send a feasible split's broadcasts and AP targets, then solve at the AP.
+def _broadcast(trace, solution, broadcasts):
+    """Send the mode's broadcasts, then the AP's targets that end the control plane."""
+    for message in broadcasts:
+        trace.send(*message)
+    trace.send(CONTROLLER, RF_AP, "rf_eh_targets",
+               {"harvest_targets": [float(v) for v in solution.rf_targets],
+                "theta": float(solution.theta), "rf_cap": float(solution.rf_cap),
+                "method": solution.method})
+    return solution, trace
 
-    ``broadcasts`` are the mode's (sender, receiver, kind, payload)
-    messages.  Returns (LightwaveSolution, BeamformingSolution, TraceLog).
-    Raises InfeasibleError when the demand cannot be met; the trace built
-    so far is attached to the exception as ``trace``.
-    """
-    if solution.feasible:
-        for message in broadcasts:
-            trace.send(*message)
-        trace.send(CONTROLLER, RF_AP, "rf_eh_targets",
-                   {"harvest_targets": [float(v) for v in solution.rf_targets],
-                    "theta": float(solution.theta), "rf_cap": float(solution.rf_cap),
-                    "method": solution.method})
+
+def _with_ap(scenario, solution, trace):
+    """A control step's result with the AP's beams; any InfeasibleError carries the trace."""
     try:
         return solution, ap_solve(scenario, solution), trace
     except InfeasibleError as err:
@@ -181,15 +192,13 @@ def _dispatch(scenario, trace, solution, broadcasts):
         raise
 
 
-def run_centralized(scenario, theta, rf_cap=None, method="bisection"):
+def control_centralized(scenario, theta, rf_cap=None, method="bisection"):
     """Full-report architecture: all channel gains go to the control unit.
 
-    Returns (LightwaveSolution, BeamformingSolution, TraceLog).  Raises
+    Returns (LightwaveSolution, TraceLog), the AP's targets last.  Raises
     InfeasibleError when the demand cannot be met; the trace built so
     far is attached to the exception as ``trace``.
     """
-    if rf_cap is None:
-        rf_cap = scenario.rf_exposure_cap
     trace = TraceLog("centralized", scenario.hash, scenario.seed)
     gains = build_vlc_matrix(scenario.transmitters, scenario.devices).gains
     n_tx, n_el, n_dev = gains.shape
@@ -206,19 +215,18 @@ def run_centralized(scenario, theta, rf_cap=None, method="bisection"):
     broadcasts = [(CONTROLLER, _cell(o), "bias_broadcast",
                    {"bias": solution.bias, "ac_swing": solution.ac_swing})
                   for o in range(n_tx)]
-    return _dispatch(scenario, trace, solution, broadcasts)
+    return _broadcast(trace, solution, broadcasts)
 
 
-def run_semi_decentralized(scenario, theta, rf_cap=None):
+def control_semi_decentralized(scenario, theta, rf_cap=None):
     """Two-scalar-uplink architecture with cell-local bias recovery.
 
-    Returns (LightwaveSolution, BeamformingSolution, TraceLog).  The
+    Returns (LightwaveSolution, TraceLog), the AP's targets last.  The
     solution matches run_centralized with the closed-form method, since
     both run the same arithmetic on the same scalars; only the message
-    pattern changes.
+    pattern changes.  A cell bias other than the control unit's raises
+    SolverStallError.
     """
-    if rf_cap is None:
-        rf_cap = scenario.rf_exposure_cap
     trace = TraceLog("semi_decentralized", scenario.hash, scenario.seed)
     matrix = build_vlc_matrix(scenario.transmitters, scenario.devices)
     serving, sums = matrix.serving_gains(), matrix.gain_sums()
@@ -246,10 +254,24 @@ def run_semi_decentralized(scenario, theta, rf_cap=None):
     broadcasts.append((CONTROLLER, RF_AP, "worst_user_info", info))
     # every cell recovers the same bias from the same two numbers; the
     # worst device's serving cell is the designated reporter
+    bias = solve_bias_closed_form(scenario.drive, scenario.vlc_eh, info["gain_sum"],
+                                  info["light_target"], scenario.bias)
+    if bias != solution.bias:
+        raise SolverStallError(f"cell bias {bias} A, control unit's {solution.bias} A")
     broadcasts.append((_cell(summary["serving_transmitter"]), CONTROLLER,
                        "bias_report",
-                       {"bias": solution.bias, "ac_swing": solution.ac_swing}))
-    return _dispatch(scenario, trace, solution, broadcasts)
+                       {"bias": bias, "ac_swing": scenario.bias.swing_at(bias)}))
+    return _broadcast(trace, solution, broadcasts)
+
+
+def run_centralized(scenario, theta, rf_cap=None, method="bisection"):
+    """control_centralized, then ap_solve: (solution, beams, trace)."""
+    return _with_ap(scenario, *control_centralized(scenario, theta, rf_cap, method))
+
+
+def run_semi_decentralized(scenario, theta, rf_cap=None):
+    """control_semi_decentralized, then ap_solve: (solution, beams, trace)."""
+    return _with_ap(scenario, *control_semi_decentralized(scenario, theta, rf_cap))
 
 
 def replay(trace, scenario):

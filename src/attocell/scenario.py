@@ -156,11 +156,7 @@ class Scenario:
     rf_linear: LinearEhParams
     noise_power: float
     efficacy: float
-    canonical: dict
-
-    @property
-    def hash(self):
-        return scenario_hash(self.canonical)
+    hash: str  # scenario_hash of the resolved inputs, fixed at build
 
 
 def scenario_hash(canonical):
@@ -281,7 +277,7 @@ def _resolve(cfg):
         drive=drive, bias=bias, vlc_eh=vlc_eh, rf_ap=rf_ap, rician_factor_db=rician,
         path_loss_exponent=ple, rf_exposure_cap=cap, rf_nonlinear=rf_nonlinear,
         rf_linear=rf_linear, noise_power=noise, efficacy=efficacy,
-        canonical=dict(_resolved(cfg), schema=SCHEMA, seed=seed),
+        hash=scenario_hash(dict(_resolved(cfg), schema=SCHEMA, seed=seed)),
     )
 
 

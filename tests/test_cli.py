@@ -189,6 +189,31 @@ def test_solve_orchestrated_infeasible(tmp_path):
     assert code == EXIT_INFEASIBLE
 
 
+@pytest.mark.parametrize("mode", ["centralized", "semi"])
+def test_solve_uncoverable_message_as_in_direct_mode(tmp_path, capsys, mode):
+    # the control steps refuse with the direct mode's message
+    code = main(["solve", "--theta", "50mW", "--mode", mode, "--out-dir", str(tmp_path)])
+    assert code == EXIT_INFEASIBLE
+    cap = default_scenario().rf_exposure_cap
+    assert capsys.readouterr().err == (
+        f"infeasible: demand 0.05 W not coverable under RF cap {cap} W\n")
+
+
+def test_subopt_gap_needs_no_rectifier_headroom(tmp_path):
+    # a 5 mW rectifier cannot deliver every RF target, which fails the AP
+    # step of solve but not the light-side table
+    cfg = _bundled_cfg()
+    cfg["rf_harvest"]["max_harvest"] = "5 mW"
+    path = tmp_path / "saturating.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = str(tmp_path / "out")
+    assert main(["solve", "--theta", "8mW", "--config", str(path),
+                 "--out-dir", out]) == EXIT_INFEASIBLE
+    assert main(["exp", "subopt-gap", "--config", str(path), "--out-dir", out]) == EXIT_OK
+    with open(tmp_path / "out" / "subopt_gap.csv") as fh:
+        assert len(list(csv.DictReader(fh))) == 20
+
+
 def test_exp_eh_allocation(tmp_path):
     code = main(["exp", "eh-allocation", "--theta", "4mW", "--theta-rf", "5mW",
                  "--out-dir", str(tmp_path)])

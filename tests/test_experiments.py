@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import attocell.experiments as experiments
+import attocell.orchestrator as orchestrator
 from attocell.beamforming import (build_eh_targets, solve_aggregate_sdp,
                                   solve_aggregate_sdp_batch)
 from attocell.channels import build_vlc_matrix, sample_rf_channel
@@ -315,6 +316,33 @@ def test_subopt_gap_experiment(scenario):
     central = np.array(res.columns["messages_centralized"])
     semi = np.array(res.columns["messages_semi"])
     assert np.all(semi[feas] < central[feas])
+
+
+@pytest.fixture
+def failing_ap(monkeypatch):
+    def ap_solve(*args):
+        raise AssertionError("the AP step ran")
+    monkeypatch.setattr(orchestrator, "ap_solve", ap_solve)
+
+
+def test_subopt_gap_runs_no_ap_step(scenario, failing_ap):
+    res = exp_subopt_gap(scenario)
+    assert res.n_rows == 20
+    assert all(res.columns["feasible"])
+    assert set(res.columns["messages_centralized"]) == {145}
+    assert set(res.columns["messages_semi"]) == {12}
+
+
+def test_subopt_gap_infeasible_rows_keep_partial_traces(scenario, failing_ap):
+    # a 1 mW cap leaves the upper 11 demands uncovered; each row keeps the
+    # failing centralized run's uplink of 140 gain reports
+    res = exp_subopt_gap(dataclasses.replace(scenario, rf_exposure_cap=1e-3))
+    feas = np.array(res.columns["feasible"], dtype=bool)
+    assert feas.tolist() == [True] * 9 + [False] * 11
+    for name, want in (("min_snr_db_bisection", -np.inf), ("min_snr_db_closed_form", -np.inf),
+                       ("messages_centralized", 140), ("messages_semi", 0)):
+        assert [v for v, ok in zip(res.columns[name], feas) if not ok] == [want] * 11
+    assert np.isnan(np.array(res.columns["gap_db"])[~feas]).all()
 
 
 def test_illuminance_experiment(scenario):

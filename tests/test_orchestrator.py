@@ -4,10 +4,13 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import attocell.orchestrator as orchestrator
 from attocell.channels import build_vlc_matrix
-from attocell.errors import InfeasibleError
+from attocell.cli import EXIT_SOLVER, main
+from attocell.errors import InfeasibleError, SolverStallError
 from attocell.lightwave import solve_bias_closed_form, solve_op1
-from attocell.orchestrator import (ControlMessage, TraceLog, replay,
+from attocell.orchestrator import (ControlMessage, TraceLog, control_centralized,
+                                   control_semi_decentralized, replay,
                                    run_centralized, run_semi_decentralized)
 from attocell.scenario import default_scenario
 
@@ -177,3 +180,30 @@ def test_control_message_record_shape():
 def test_custom_cap_threading(scenario):
     sol, _, _ = run_centralized(scenario, 2e-3, rf_cap=1e-3)
     assert np.all(sol.rf_targets <= 1e-3 + 1e-15)
+
+
+def test_control_steps_are_the_runners_before_the_ap(scenario):
+    for control, runner in ((control_centralized, run_centralized),
+                            (control_semi_decentralized, run_semi_decentralized)):
+        sol, trace = control(scenario, THETA)
+        sol_r, _, trace_r = runner(scenario, THETA)
+        assert sol.bias == sol_r.bias
+        np.testing.assert_array_equal(sol.rf_targets, sol_r.rf_targets)
+        assert trace.messages == trace_r.messages
+        assert trace.messages[-1].kind == "rf_eh_targets"
+        with pytest.raises(InfeasibleError, match="not coverable") as exc:
+            control(scenario, 50e-3)
+        assert len(exc.value.trace) == {"centralized": 140, "semi_decentralized": 5}[trace.mode]
+
+
+def test_semi_cell_bias_that_differs_is_solver_failure(scenario, monkeypatch, tmp_path):
+    # the designated cell computes the bias it reports; one ulp off the
+    # control unit's bias is a solver failure, not a silent pick
+    closed_form = orchestrator.solve_bias_closed_form
+    monkeypatch.setattr(orchestrator, "solve_bias_closed_form",
+                        lambda *args: float(np.nextafter(closed_form(*args), np.inf)))
+    with pytest.raises(SolverStallError, match="cell bias"):
+        run_semi_decentralized(scenario, THETA)
+    assert main(["solve", "--theta", "4mW", "--mode", "semi",
+                 "--out-dir", str(tmp_path)]) == EXIT_SOLVER
+    assert not list(tmp_path.iterdir())

@@ -41,6 +41,12 @@ def test_default_scenario_shape(scenario):
     assert scenario.room_size.tolist() == [5.0, 5.0, 3.0]
 
 
+def test_hash_is_a_field_fixed_at_build():
+    fields = {f.name: f.type for f in dataclasses.fields(attocell.scenario.Scenario)}
+    assert fields["hash"] is str
+    assert "canonical" not in fields
+
+
 def test_default_scenario_hash_frozen(scenario):
     assert scenario.hash == FROZEN_HASH
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,12 @@ def test_reproduce_all_smoke(tmp_path):
             rows = list(csv.DictReader(fh))
         assert rows, name
         assert {r["scenario_hash"] for r in rows} == {want}, name
+    # one line per experiment with its wall time in milliseconds
+    timed = re.findall(r"^(\w+) +\d+ rows +(\d+\.\d) ms ", proc.stdout, re.MULTILINE)
+    assert [name for name, _ in timed] == [
+        "snr_eh_region", "feasibility_vs_theta", "eh_allocation", "rf_power",
+        "subopt_gap", "illuminance"]
+    assert all(float(ms) > 0 for _, ms in timed), proc.stdout
 
 
 def test_reproduce_all_rejects_zero_trials_before_writing(tmp_path):
