@@ -17,9 +17,9 @@ those commands write.  Every file under OUT_DIR is hashed, so start
 from a new or empty directory.
 
 With ``--against``, every file whose hash differs from the other
-manifest is printed with its count of differing lines and the first of
-them, read from the files beside that manifest; the exit status is 1
-when anything moved.  To check a change against its parent, run the
+manifest is printed with its count of differing lines and each of them,
+old and new, read from the files beside that manifest; the exit status
+is 1 when anything moved.  To check a change against its parent, run the
 script once per source tree, for example with ``PYTHONPATH`` pointing
 at the parent's ``src``, and pass the first manifest to the second run.
 The bytes are per machine, so compare runs from one machine.
@@ -83,7 +83,8 @@ def write_jittered_layout(path):
 def write_artifacts(out_dir, trials):
     """Run reproduce_all, COMMANDS and JITTERED_COMMANDS into ``out_dir``."""
     with contextlib.redirect_stdout(sys.stderr):
-        reproduce_all.main(["--trials", str(trials), "--out-dir", out_dir])
+        _check(reproduce_all.main(["--trials", str(trials), "--out-dir", out_dir]),
+               "reproduce_all.py")
         for sub, argv in COMMANDS.items():
             _run(argv + ["--out-dir", os.path.join(out_dir, sub)])
         config = os.path.join(out_dir, JITTERED)
@@ -93,9 +94,12 @@ def write_artifacts(out_dir, trials):
 
 
 def _run(argv):
-    code = cli.main(argv)
+    _check(cli.main(argv), f"attocell {' '.join(argv)}")
+
+
+def _check(code, command):
     if code != cli.EXIT_OK:
-        raise SystemExit(f"attocell {' '.join(argv)} exited {code}")
+        raise SystemExit(f"{command} exited {code}")
 
 
 def write_manifest(out_dir):
@@ -141,10 +145,10 @@ def compare(out_dir, other_manifest):
         pairs = list(itertools.zip_longest(_lines(os.path.join(other_dir, path)),
                                            _lines(os.path.join(out_dir, path))))
         diff = [(n, a, b) for n, (a, b) in enumerate(pairs, 1) if a != b]
-        n, old, new = diff[0]
         print(f"moved: {path} ({len(diff)} of {len(pairs)} lines differ)")
-        print(f"  line {n} was: {_show(old)}")
-        print(f"  line {n} now: {_show(new)}")
+        for n, old, new in diff:
+            print(f"  line {n} was: {_show(old)}")
+            print(f"  line {n} now: {_show(new)}")
     if not moved:
         print(f"no file moved ({len(ours)} files)")
     return moved

@@ -3,12 +3,16 @@
 
 Figures are intentionally not rendered here; each CSV carries tidy columns
 plus provenance (scenario hash, seed, solver), so any plotting tool works.
+Exit codes are the ``attocell`` command's: 0 success, 2 bad configuration
+or arguments, 3 infeasible instance, 4 solver failure.
 """
 
 import argparse
 import os
+import sys
 import time
 
+from attocell import cli
 from attocell.experiments import (exp_eh_allocation, exp_feasibility_vs_theta,
                                   exp_illuminance, exp_rf_power,
                                   exp_snr_eh_region, exp_subopt_gap)
@@ -30,8 +34,10 @@ def main(argv=None):
     ap.add_argument("--out-dir", default="results")
     ap.add_argument("--trials", type=trial_count, default=100,
                     help="Monte-Carlo draws for the RF power sweep")
-    args = ap.parse_args(argv)
+    return cli.run_with_exit_codes(_run_all, ap.parse_args(argv))
 
+
+def _run_all(args):
     if args.config:
         sc = load_scenario(args.config, seed=args.seed)
     else:
@@ -56,7 +62,8 @@ def main(argv=None):
                          if isinstance(v, float))
         ms = (time.perf_counter() - t0) * 1e3
         print(f"{name:24s} {result.n_rows:6d} rows  {ms:9.1f} ms  {keys}")
+    return cli.EXIT_OK
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -90,8 +90,8 @@ def _cmd_channels_dump(args):
     return EXIT_OK
 
 
-def _solution_dict(sol, beams=None):
-    out = {
+def _solution_dict(sol, beams):
+    return {
         "feasible": sol.feasible,
         "bias_a": sol.bias,
         "ac_swing_a": sol.ac_swing,
@@ -103,13 +103,11 @@ def _solution_dict(sol, beams=None):
         "fallback_used": sol.fallback_used,
         "rf_targets_w": [float(v) for v in sol.rf_targets],
         "light_harvests_w": [float(v) for v in sol.light_harvests],
+        "rf_total_power_w": beams.total_power,
+        "rf_beam_count": len(beams.beams),
+        "rf_rank_one_ratio": beams.rank_one_ratio,
+        "rf_delivered_w": [float(v) for v in beams.delivered],
     }
-    if beams is not None:
-        out["rf_total_power_w"] = beams.total_power
-        out["rf_beam_count"] = len(beams.beams)
-        out["rf_rank_one_ratio"] = beams.rank_one_ratio
-        out["rf_delivered_w"] = [float(v) for v in beams.delivered]
-    return out
 
 
 def _cmd_solve(args):
@@ -227,8 +225,13 @@ _parser = functools.cache(build_parser)
 
 def main(argv=None):
     args = _parser().parse_args(argv)
+    return run_with_exit_codes(args.func, args)
+
+
+def run_with_exit_codes(func, *args):
+    """``func(*args)``, with the package's errors as exit codes and a stderr line."""
     try:
-        return args.func(args)
+        return func(*args)
     except (ScenarioError, UnservableDeviceError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -279,9 +279,11 @@ def gap_theta_grid(n_points=20):
 def exp_subopt_gap(scenario, theta_grid=None):
     """Optimal-vs-closed-form min SNR and message counts across a demand sweep.
 
-    The centralized run uses the bisection bias (the reference); the
+    The centralized run uses the exact bias (the reference); the
     semi-decentralized run is the closed form; no AP step runs.  An
     infeasible demand stays a flagged row instead of aborting the sweep.
+    ``gap_db`` is optimal minus closed form; below -1e-9 dB the closed
+    form beat the optimum, a defect that raises SolverStallError.
     """
     if theta_grid is None:
         theta_grid = gap_theta_grid()
@@ -292,8 +294,11 @@ def exp_subopt_gap(scenario, theta_grid=None):
         try:
             sol_c, trace_c = control_centralized(scenario, float(theta))
             sol_s, trace_s = control_semi_decentralized(scenario, float(theta))
-            row = (True, sol_c.min_snr_db, sol_s.min_snr_db,
-                   abs(sol_c.min_snr_db - sol_s.min_snr_db), len(trace_c), len(trace_s))
+            gap = sol_c.min_snr_db - sol_s.min_snr_db
+            if gap < -1e-9:
+                raise SolverStallError(
+                    f"closed form beats the optimal bias by {-gap:.3e} dB at demand {theta} W")
+            row = (True, sol_c.min_snr_db, sol_s.min_snr_db, gap, len(trace_c), len(trace_s))
         except InfeasibleError as err:
             row = (False, -np.inf, -np.inf, np.nan, len(err.trace), 0)
         for name, value in zip(cols, (float(theta),) + row):

@@ -7,12 +7,13 @@ exposure cap.  Raising the common DC bias feeds the harvesters but
 shrinks the AC swing left for data, so the optimum runs the bias as low
 as the worst-off device allows.
 
-Two routes to the optimal bias are provided: a bisection on the exact
-harvest curve, and a closed form through the Lambert W function of the
-log-linearized curve.  They must stay within a hair of each other; the
-test suite enforces that.  ``solve_op1_grid`` runs the bisection route
-over many (demand, cap) lanes at once, each lane giving its scalar
-call's bits.
+Two routes to the bias are provided: the exact one, Newton's method on
+the harvest curve, finished to the ulp (the method label ``bisection``
+names it, as it always has), and the paper's suboptimal closed form
+through the Lambert W function of the log-linearized curve.  They must
+stay within a hair of each other; the test suite enforces that.
+``solve_op1_grid`` runs the exact route over many (demand, cap) lanes at
+once, each lane giving its scalar call's bits.
 """
 
 from dataclasses import dataclass
@@ -34,8 +35,6 @@ __all__ = [
     "solve_op1_grid",
 ]
 
-BISECTION_TOL = 1e-7  # A, default bias tolerance of the bisection route
-
 
 def identify_worst_user(serving_gains):
     """Device with the weakest serving-element gain; ties pick the lowest index."""
@@ -49,54 +48,70 @@ def solve_subrf(theta, max_light_eh, min_light_eh, rf_cap):
     top of the range) and at least ``min_light_eh`` (bias at the
     midpoint, the swing-maximizing point).  RF makes up the difference
     but may not exceed ``rf_cap``.  The split that maximizes the swing
-    uses as little bias as possible: RF takes min(theta - min_light_eh,
-    rf_cap), clamped at zero.  The light target is formed directly, not
-    as theta - rf, since theta - (theta - x) need not round back to x:
-    when RF covers the whole deficit the light side gets exactly
-    ``min_light_eh``, which the midpoint bias meets.
-
-    Broadcasts over arrays; each element takes the ties of Python's
-    ``min(theta, max(theta - rf_cap, min_light_eh))``.
+    uses as little bias as possible: the light target is min(theta,
+    max(theta - rf_cap, min_light_eh)), formed directly, not as theta -
+    rf, since theta - (theta - x) need not round back to x: when RF
+    covers the whole deficit the light side gets exactly
+    ``min_light_eh``, which the midpoint bias meets.  Where theta -
+    (theta - rf_cap) rounds above the cap, the target moves one float
+    up, so a feasible split passes theta - light <= rf_cap in floating
+    point.  Broadcasts over arrays, each element as its scalar call.
 
     Returns:
         (feasible, light_target): a bool and a float for scalar inputs,
         arrays otherwise.  The light target means nothing where the
         split is infeasible.
     """
-    short = rf_cap - (theta - max_light_eh) < 0
     floor = theta - rf_cap
+    floor = np.nextafter(floor, floor + (theta - floor > rf_cap))  # up one float, or stay
     floor = np.where(min_light_eh > floor, min_light_eh, floor)
     light = np.where(floor < theta, floor, theta)
+    feasible = light <= max_light_eh
     if light.ndim:
-        return ~short, light
-    return not short, float(light)
+        return feasible, light
+    return bool(feasible), float(light)
 
 
-def solve_bias_bisection(drive, eh_params, gain_sum, target, bias_limits,
-                         tol=BISECTION_TOL):
-    """Smallest DC bias whose light harvest meets ``target``.
+def solve_bias_bisection(drive, eh_params, gain_sum, target, bias_limits):
+    """Smallest DC bias, to a few ulps, whose light harvest meets ``target``.
 
-    Bisects on [midpoint, high] keeping the upper endpoint feasible and
-    returns that endpoint, so the answer always satisfies the target.
-    The top of the range leaves no swing, so it is returned only when
-    no lower float bias meets the target.  The loop ends at the latest
-    when the endpoints are adjacent floats.
+    The exact route, labelled ``bisection``.  The harvest is convex and
+    increasing in the bias, so Newton's method from the top of the range
+    falls monotonically onto the root; a lane stops once a step no
+    longer lowers its bias.  The bias then climbs by ulps until the
+    harvest, computed as ``vlc_harvested_power`` computes it, meets the
+    target.  A target the midpoint meets returns the midpoint; the top,
+    which leaves no swing, only a target equal to the harvest there to
+    rounding.  ``target`` may be an array: each lane takes its scalar
+    call's elementwise steps and bits.  A scalar target returns a float.
     """
-    lo = bias_limits.midpoint
-    hi = top = bias_limits.high
-    if target <= vlc_harvested_power(drive, eh_params, gain_sum, lo):
-        return lo
-    if target > vlc_harvested_power(drive, eh_params, gain_sum, hi):
+    mid, top = bias_limits.midpoint, bias_limits.high
+    goal = np.asarray(target, dtype=float)[()]  # a scalar stays a cheap numpy scalar
+    floor = vlc_harvested_power(drive, eh_params, gain_sum, mid)
+    if not goal.ndim and goal <= floor:
+        return mid
+    if np.count_nonzero(goal > vlc_harvested_power(drive, eh_params, gain_sum, top)):
         raise TargetUnreachableError(
-            f"light harvest target {target} W above reach {hi} A bias")
+            f"light harvest target {goal.max()} W above reach {top} A bias")
+    bias = np.where(goal <= floor, mid, top)[()]
+    aim = np.maximum(goal, floor)  # a lane at the midpoint takes no step
+    f, v_t, i_d = eh_params.fill_factor, eh_params.thermal_voltage, eh_params.dark_current
+    c = 3.0 * drive.conversion  # generated_current's factor
+    k = f * v_t * c * gain_sum  # the harvest's slope is k * (log1p(x) + x / (1 + x))
     while True:
-        mid = 0.5 * (lo + hi)
-        if (hi - lo <= tol and hi < top) or mid in (lo, hi):
-            return hi
-        if vlc_harvested_power(drive, eh_params, gain_sum, mid) >= target:
-            hi = mid
-        else:
-            lo = mid
+        i_g = c * bias * gain_sum
+        log = np.log1p(i_g / i_d)
+        newton = bias - (f * i_g * (v_t * log) - aim) / (k * (log + i_g / (i_d + i_g)))
+        if not np.count_nonzero(newton < bias):
+            break
+        bias = np.fmin(newton, bias)  # a lane that would not go lower stays
+    # rounding may leave a lane an ulp under its root, or under the midpoint
+    bias = np.maximum(bias, mid)
+    short = vlc_harvested_power(drive, eh_params, gain_sum, bias) < goal
+    while np.count_nonzero(short):
+        bias = np.where(short, np.nextafter(bias, top), bias)
+        short = vlc_harvested_power(drive, eh_params, gain_sum, bias) < goal
+    return bias if goal.ndim else float(bias)
 
 
 def solve_bias_closed_form(drive, eh_params, gain_sum, target, bias_limits):
@@ -138,8 +153,7 @@ class LightwaveSolution:
 
 
 def solve_op1_from_gains(serving_gains, gain_sums, drive, vlc_eh, bias_limits,
-                         noise_power, theta, rf_cap, method="bisection",
-                         tol=BISECTION_TOL):
+                         noise_power, theta, rf_cap, method="bisection"):
     """Max-min SNR allocation from per-device gain summaries.
 
     Only two numbers per device enter the optimization: the serving
@@ -170,7 +184,7 @@ def solve_op1_from_gains(serving_gains, gain_sums, drive, vlc_eh, bias_limits,
             break
         if method == "bisection":
             bias = solve_bias_bisection(drive, vlc_eh, sums[worst], light_target,
-                                        bias_limits, tol=tol)
+                                        bias_limits)
         else:
             bias = solve_bias_closed_form(drive, vlc_eh, sums[worst], light_target,
                                           bias_limits)
@@ -202,42 +216,15 @@ def _gain_summaries(serving_gains, gain_sums):
     return serving, sums
 
 
-def _bisect_lanes(drive, vlc_eh, gain_sum, targets, bias_limits):
-    """``solve_bias_bisection`` on one gain sum for an array of targets.
-
-    Each lane keeps its own ``lo``/``hi`` and leaves the loop at the step
-    where its scalar call returns, so it takes that call's midpoints and
-    ends on its bias.
-    """
-    lo = np.full(targets.shape, bias_limits.midpoint)
-    hi = np.full(targets.shape, bias_limits.high)
-    top = bias_limits.high
-    early = targets <= vlc_harvested_power(drive, vlc_eh, gain_sum, bias_limits.midpoint)
-    hi[early] = bias_limits.midpoint
-    lane = np.flatnonzero(~early)
-    if np.any(targets[lane] > vlc_harvested_power(drive, vlc_eh, gain_sum, top)):
-        raise TargetUnreachableError(
-            f"light harvest target {targets[lane].max()} W above reach {top} A bias")
-    while lane.size:
-        a, b = lo[lane], hi[lane]
-        mid = 0.5 * (a + b)
-        go = ~(((b - a <= BISECTION_TOL) & (b < top)) | (mid == a) | (mid == b))
-        lane, mid = lane[go], mid[go]
-        meets = vlc_harvested_power(drive, vlc_eh, gain_sum, mid) >= targets[lane]
-        hi[lane[meets]] = mid[meets]
-        lo[lane[~meets]] = mid[~meets]
-    return hi
-
-
 def solve_op1_grid(serving_gains, gain_sums, drive, vlc_eh, bias_limits, noise_power,
                    thetas, rf_caps):
-    """Bisection ``solve_op1_from_gains`` over lanes of (demand, RF cap).
+    """``solve_op1_from_gains``, method ``bisection``, over lanes of (demand, RF cap).
 
     Lane i holds ``thetas[i]`` and ``rf_caps[i]``, which broadcast to one
     1-d shape.  A lane gets the feasibility, bias and min SNR in dB of
     its scalar call, bit for bit: the same worst-user try and gain-sum
-    fallback, the same bisection midpoints and stops.  Lanes whose split
-    fails never enter the bisection.
+    fallback, and the same ``solve_bias_bisection`` steps, since those
+    are elementwise.  Lanes whose split fails never enter the bias solve.
 
     Returns:
         (feasible, bias, min_snr_db) arrays; an infeasible lane has bias
@@ -261,7 +248,7 @@ def solve_op1_grid(serving_gains, gain_sums, drive, vlc_eh, bias_limits, noise_p
             vlc_harvested_power(drive, vlc_eh, sums[worst], bias_limits.midpoint),
             caps[pending])
         pending, target = pending[split], target[split]  # a rejected lane is not retried
-        tried = _bisect_lanes(drive, vlc_eh, sums[worst], target, bias_limits)
+        tried = solve_bias_bisection(drive, vlc_eh, sums[worst], target, bias_limits)
         harvests = vlc_harvested_power(drive, vlc_eh, sums[:, None], tried)
         broke = np.any(thetas[pending] - harvests > caps[pending], axis=0)  # retried
         feasible[pending[~broke]] = True

@@ -87,8 +87,7 @@ def test_c04(scenario, vlc_matrix):
     cap = scenario.rf_exposure_cap
     checked = 0
     for theta in np.linspace(0.0, 8e-3, 20):
-        ref = _solve(scenario, serving, sums, theta, cap,
-                     method="bisection", tol=1e-12)
+        ref = _solve(scenario, serving, sums, theta, cap, method="bisection")
         cf = _solve(scenario, serving, sums, theta, cap, method="closed_form")
         assert ref.feasible == cf.feasible
         if not ref.feasible:
@@ -147,7 +146,7 @@ def test_c05(scenario):
         hi_eh = vlc_harvested_power(scenario.drive, scenario.vlc_eh, anchor,
                                     scenario.bias.high)
         theta = cap + lo_eh + float(rng.uniform(0.1, 0.85)) * (hi_eh - lo_eh)
-        sol = _solve(scenario, serving, sums, theta, cap, tol=1e-9)
+        sol = _solve(scenario, serving, sums, theta, cap)
         assert sol.feasible, f"draw {draw} unexpectedly infeasible"
         oracle_db, oracle_bias, step = _grid_oracle_min_snr(
             scenario, serving, sums, theta, cap)
@@ -175,8 +174,7 @@ def test_c06(scenario):
         target = float(rng.uniform(harvest[0], harvest[-1]))
         idx = int(np.searchsorted(harvest, target, side="left"))
         b_grid = grid[min(idx, len(grid) - 1)]
-        b_solver = solve_bias_bisection(scenario.drive, eh, gs, target,
-                                        scenario.bias, tol=tol)
+        b_solver = solve_bias_bisection(scenario.drive, eh, gs, target, scenario.bias)
         assert abs(b_solver - b_grid) <= tol + step
 
 

@@ -9,6 +9,7 @@ import attocell.orchestrator as orchestrator
 from attocell.beamforming import (build_eh_targets, solve_aggregate_sdp,
                                   solve_aggregate_sdp_batch)
 from attocell.channels import build_vlc_matrix, sample_rf_channel
+from attocell.cli import EXIT_SOLVER, main
 from attocell.energy import vlc_harvested_power, vlc_snr_db
 from attocell.errors import InfeasibleError, SolverStallError
 from attocell.experiments import (ExperimentResult, exp_eh_allocation,
@@ -316,6 +317,25 @@ def test_subopt_gap_experiment(scenario):
     central = np.array(res.columns["messages_centralized"])
     semi = np.array(res.columns["messages_semi"])
     assert np.all(semi[feas] < central[feas])
+
+
+def test_subopt_gap_is_signed_and_a_closed_form_win_is_a_solver_failure(
+        scenario, tmp_path, monkeypatch):
+    res = exp_subopt_gap(scenario)
+    gaps = np.array(res.columns["gap_db"])
+    # the exact bias leaves a gap well under a micro-dB, never below zero
+    assert np.all(gaps >= 0.0) and 0.0 < res.meta["max_gap_db"] < 1e-6
+    assert res.meta["max_gap_db"] == gaps.max()
+    control = experiments.control_semi_decentralized
+
+    def better_closed_form(*args):
+        sol, trace = control(*args)
+        return dataclasses.replace(sol, min_snr_db=sol.min_snr_db + 1e-6), trace
+    monkeypatch.setattr(experiments, "control_semi_decentralized", better_closed_form)
+    with pytest.raises(SolverStallError, match="closed form beats the optimal bias"):
+        exp_subopt_gap(scenario)
+    assert main(["exp", "subopt-gap", "--out-dir", str(tmp_path)]) == EXIT_SOLVER
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.fixture

@@ -59,7 +59,7 @@ def test_subrf_broadcasts_like_scalar_calls():
 
 def test_bias_root_frozen(scenario):
     b = solve_bias_bisection(scenario.drive, scenario.vlc_eh, SUMS[3], 2e-3,
-                             scenario.bias, tol=1e-12)
+                             scenario.bias)
     assert b == pytest.approx(0.00985281309169339, abs=1e-12)
     cf = solve_bias_closed_form(scenario.drive, scenario.vlc_eh, SUMS[3], 2e-3,
                                 scenario.bias)
@@ -98,6 +98,64 @@ def test_bias_target_above_reach_raises(scenario):
                    WORST_MAX_EH * 1.5, scenario.bias)
 
 
+def _adjacent_float_bisection(scenario, gain_sum, target):
+    """The smallest bias of a bisection run until its endpoints are adjacent floats."""
+    lo, hi = scenario.bias.midpoint, scenario.bias.high
+    if target <= vlc_harvested_power(scenario.drive, scenario.vlc_eh, gain_sum, lo):
+        return lo
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if vlc_harvested_power(scenario.drive, scenario.vlc_eh, gain_sum, mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _harvest_range(scenario, gain_sum):
+    return tuple(vlc_harvested_power(scenario.drive, scenario.vlc_eh, gain_sum, b)
+                 for b in (scenario.bias.midpoint, scenario.bias.high))
+
+
+@pytest.mark.parametrize("n_lanes", [1, 2, 132])
+def test_bias_lanes_equal_scalar_calls(scenario, n_lanes):
+    rng = np.random.default_rng(n_lanes)
+    for gain_sum in SUMS:
+        lo_eh, hi_eh = _harvest_range(scenario, gain_sum)
+        # inside the range, both ends, then random ones, some below the midpoint harvest
+        targets = np.concatenate([[0.5 * (lo_eh + hi_eh), hi_eh, lo_eh],
+                                  rng.uniform(0.5 * lo_eh, hi_eh, 129)])[:n_lanes]
+        lanes = solve_bias_bisection(scenario.drive, scenario.vlc_eh, gain_sum, targets,
+                                     scenario.bias)
+        scalar = [solve_bias_bisection(scenario.drive, scenario.vlc_eh, gain_sum,
+                                       float(t), scenario.bias) for t in targets]
+        assert all(type(b) is float for b in scalar)
+        assert lanes.shape == targets.shape
+        assert lanes.tobytes() == np.array(scalar).tobytes()
+
+
+def test_bias_meets_target_next_to_adjacent_float_bisection(scenario):
+    # every answer lies within 4 ulps of a bisection that runs to adjacent
+    # floats; the rounded harvest is not monotone at that scale, so the
+    # smallest float meeting a target is not unique to the ulp
+    for gain_sum in SUMS:
+        lo_eh, hi_eh = _harvest_range(scenario, gain_sum)
+        targets = np.concatenate([
+            [0.0, np.nextafter(lo_eh, 0.0), lo_eh, np.nextafter(lo_eh, 1.0)],
+            np.linspace(lo_eh, hi_eh, 401)[1:-1],
+            [np.nextafter(hi_eh, 0.0), hi_eh]])
+        bias = solve_bias_bisection(scenario.drive, scenario.vlc_eh, gain_sum, targets,
+                                    scenario.bias)
+        assert np.all(vlc_harvested_power(scenario.drive, scenario.vlc_eh, gain_sum, bias)
+                      >= targets)
+        assert np.all((scenario.bias.midpoint <= bias) & (bias <= scenario.bias.high))
+        assert np.all(bias[:3] == scenario.bias.midpoint)
+        ref = np.array([_adjacent_float_bisection(scenario, gain_sum, float(t))
+                        for t in targets])
+        # positive floats order like their bit patterns
+        ulps = np.abs(bias.view(np.int64) - ref.view(np.int64))
+        assert ulps.max() <= 4
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.floats(min_value=2e-3, max_value=0.02),
        st.floats(min_value=0.0, max_value=1.0))
@@ -108,7 +166,7 @@ def test_bisection_meets_target_minimally(gain_sum, frac):
     hi_eh = vlc_harvested_power(sc.drive, sc.vlc_eh, gain_sum, sc.bias.high)
     target = lo_eh + frac * (hi_eh - lo_eh)
     tol = 1e-9
-    b = solve_bias_bisection(sc.drive, sc.vlc_eh, gain_sum, target, sc.bias, tol=tol)
+    b = solve_bias_bisection(sc.drive, sc.vlc_eh, gain_sum, target, sc.bias)
     assert vlc_harvested_power(sc.drive, sc.vlc_eh, gain_sum, b) >= target
     if b > sc.bias.midpoint + tol:
         under = vlc_harvested_power(sc.drive, sc.vlc_eh, gain_sum, b - tol)
@@ -206,7 +264,7 @@ def test_unknown_method_rejected(scenario):
 
 
 def test_closed_form_route_matches_bisection(scenario):
-    a = _solve_default(scenario, 5e-3, method="bisection", tol=1e-12)
+    a = _solve_default(scenario, 5e-3, method="bisection")
     b = _solve_default(scenario, 5e-3, method="closed_form")
     assert a.feasible and b.feasible
     assert b.min_snr_db == pytest.approx(a.min_snr_db, abs=0.5)
@@ -236,6 +294,21 @@ def test_bisection_not_below_closed_form_when_rf_covers_deficit(scenario, vlc_ma
 def test_subrf_light_target_exact_when_rf_covers_deficit():
     theta = np.linspace(0.0, 8e-3, 20)[13]
     assert solve_subrf(theta, WORST_MAX_EH, WORST_MIN_EH, 5e-3) == (True, WORST_MIN_EH)
+
+
+def test_feasible_split_passes_the_cap_test():
+    # theta - (theta - cap) can round above the cap; a feasible split must
+    # still leave RF at most the cap, computed as the solvers compute it
+    rng = np.random.default_rng(1)
+    thetas = np.append(rng.uniform(0.0, 3e-3, 50_000), 0.0023382133000763748)
+    caps = np.append(rng.uniform(0.0, 2e-3, 50_000), 0.0007197861604270648)
+    feasible, light = solve_subrf(thetas, WORST_MAX_EH, WORST_MIN_EH, caps)
+    assert feasible.sum() > 40_000
+    assert np.all(thetas[feasible] - light[feasible] <= caps[feasible])
+    assert np.all(light[feasible] <= WORST_MAX_EH)
+    # the draw of criterion 5 that exposed it, as a scalar call
+    ok, target = solve_subrf(float(thetas[-1]), WORST_MAX_EH, WORST_MIN_EH, float(caps[-1]))
+    assert ok and thetas[-1] - target <= caps[-1]
 
 
 def test_grid_lanes_equal_scalar_solves(scenario, vlc_matrix):

@@ -47,6 +47,19 @@ def test_reproduce_all_rejects_zero_trials_before_writing(tmp_path):
     assert not list(tmp_path.iterdir())
 
 
+def test_reproduce_all_exits_like_the_cli(tmp_path):
+    # a negative seed is a scenario error: exit 2 with the attocell
+    # command's one-line message, no traceback and no output directory
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "reproduce_all.py"),
+         "--seed", "-1", "--out-dir", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert proc.stderr == "configuration error: seed must be nonnegative, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_byte_manifest_smoke(tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     script = str(ROOT / "scripts" / "byte_manifest.py")
@@ -86,3 +99,7 @@ def test_byte_manifest_smoke(tmp_path):
     assert moved == ["moved: rf_power.csv (14 of 17 lines differ)"]
     assert "  line 2 was: 0,nonlinear,uniform,1,0,2,0," in second.stdout
     assert "  line 2 now: 0,nonlinear,uniform,1,0,3,0," in second.stdout
+    # and every other moved line, old and new, each once
+    was = re.findall(r"^  line (\d+) was: .*,2,0,", second.stdout, re.MULTILINE)
+    now = re.findall(r"^  line (\d+) now: .*,3,0,", second.stdout, re.MULTILINE)
+    assert was == now and len(set(was)) == 14
