@@ -9,8 +9,8 @@ direct mode (bisection and closed form), centralized and semi mode,
 both traces, and ``exp illuminance --format json``, plus
 ``MANIFEST.sha256`` (``sha256sum`` format).  It also writes
 ``jittered_layout.yaml``, the bundled scenario with its devices moved
-in x and y, where the light-side solve takes the worst-user fallback,
-and runs ``exp feasibility`` and ``solve --theta 7.25mW`` (semi mode,
+in x and y, where the device that sets the bias is not the
+weakest-serving one, and runs ``exp feasibility`` and ``solve --theta 7.25mW`` (semi mode,
 and direct mode with the closed form) on it.  The artifacts come from
 ``reproduce_all.main`` and ``attocell.cli.main``, so they match what
 those commands write.  Every file under OUT_DIR is hashed, so start
@@ -67,8 +67,9 @@ JITTERED_COMMANDS = {
 def write_jittered_layout(path):
     """The bundled scenario with each device moved up to 0.5 m in x and y.
 
-    Its weakest-serving device is not its smallest-gain-sum device, so
-    some demands and caps take the light side's fallback.
+    Its weakest-serving device is not its smallest-gain-sum device, the
+    one that sets the bias, so every feasible solve reports
+    ``fallback_used``.
     """
     sc = default_scenario()
     shift = np.random.default_rng([7, 21]).uniform(-0.5, 0.5, (len(sc.devices), 2))

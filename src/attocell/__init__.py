@@ -18,9 +18,8 @@ from .errors import (AttocellError, DimensionMismatchError, InfeasibleError,
                      UnservableDeviceError)
 from .geometry import build_angle_diversity_layout, lambert_mode
 from .illumination import IlluminanceMap, element_luminous_flux, illuminance_map
-from .lightwave import (LightwaveSolution, identify_worst_user, solve_bias_bisection,
-                        solve_bias_closed_form, solve_op1, solve_op1_from_gains,
-                        solve_subrf)
+from .lightwave import (LightwaveSolution, solve_bias_bisection, solve_bias_closed_form,
+                        solve_op1, solve_op1_from_gains, solve_subrf)
 from .beamforming import (BeamformingSolution, EhTargets, PsdMatrix,
                           VerificationReport, build_eh_targets, extract_beams,
                           required_power_linear, solve_aggregate_sdp,

@@ -124,6 +124,13 @@ def _cmd_solve(args):
         sol, beams, trace = run_centralized(sc, theta, rf_cap, args.method)
     else:
         sol, beams, trace = run_semi_decentralized(sc, theta, rf_cap)
+    fields = _solution_dict(sol, beams)
+    try:
+        text = json.dumps(fields, sort_keys=True, indent=1, allow_nan=False) + "\n"
+    except ValueError:  # strict JSON has no inf or nan; nothing is printed or written
+        bad = sorted(key for key, value in fields.items()
+                     if not isinstance(value, str) and not np.all(np.isfinite(value)))
+        raise SolverStallError(f"solution.json would hold non-finite {', '.join(bad)}") from None
 
     print(f"bias {sol.bias*1e3:.6f} mA  swing {sol.ac_swing*1e3:.6f} mA  "
           f"min SNR {sol.min_snr_db:.3f} dB  worst user {sol.worst_user}")
@@ -139,8 +146,7 @@ def _cmd_solve(args):
         print(f"wrote {trace_path} ({len(trace)} messages)")
     sol_path = os.path.join(args.out_dir, "solution.json")
     with open(sol_path, "w") as fh:
-        json.dump(_solution_dict(sol, beams), fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        fh.write(text)
     print(f"wrote {sol_path}")
     return EXIT_OK
 

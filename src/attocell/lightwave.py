@@ -5,7 +5,9 @@ frame with ``theta`` joules-per-frame of harvested energy, collected
 from the light it already receives plus an RF top-up bounded by an
 exposure cap.  Raising the common DC bias feeds the harvesters but
 shrinks the AC swing left for data, so the optimum runs the bias as low
-as the worst-off device allows.
+as the worst-off device allows.  That device is the one with the
+smallest gain sum: the harvest grows with the gain sum, so its curve
+lies under every other device's at every bias.
 
 Two routes to the bias are provided: the exact one, Newton's method on
 the harvest curve, finished to the ulp (the method label ``bisection``
@@ -21,11 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .energy import vlc_harvested_power, vlc_snr_db
-from .errors import TargetUnreachableError
+from .errors import SolverStallError, TargetUnreachableError
 from .numerics import lambert_w0
 
 __all__ = [
-    "identify_worst_user",
     "solve_subrf",
     "solve_bias_bisection",
     "solve_bias_closed_form",
@@ -34,11 +35,6 @@ __all__ = [
     "solve_op1_from_gains",
     "solve_op1_grid",
 ]
-
-
-def identify_worst_user(serving_gains):
-    """Device with the weakest serving-element gain; ties pick the lowest index."""
-    return int(np.argmin(np.asarray(serving_gains)))
 
 
 def solve_subrf(theta, max_light_eh, min_light_eh, rf_cap):
@@ -143,11 +139,12 @@ class LightwaveSolution:
     ac_swing: float
     rf_targets: np.ndarray  # RF input assigned to each device, W
     light_harvests: np.ndarray  # light-side harvest of each device at the bias, W
-    worst_user: int
+    worst_user: int  # the device that sets the bias: the smallest gain sum
     min_snr_db: float
     method: str
     theta: float
     rf_cap: float
+    # feasible, and the device that sets the bias is not the weakest-serving one
     fallback_used: bool = False
     light_target: float = np.nan  # light harvest the bias was solved for, W
 
@@ -162,58 +159,62 @@ def solve_op1_from_gains(serving_gains, gain_sums, drive, vlc_eh, bias_limits,
     that received just these scalars run the identical arithmetic as a
     full-matrix solve; ``solve_op1`` is the matrix-facing wrapper.
 
-    The bias is set by the worst-off device (weakest serving gain); all
-    other devices then need at most as much RF as the cap allows.  If
-    one of them would exceed the cap anyway, the worst role is
-    reassigned to the device with the smallest total gain, whose
-    harvest curve lower-bounds everyone else's, and the solve repeats
-    once.  The SNR grows with the serving gain, so the weakest serving
-    gain also holds the min SNR.
+    The harvest grows with the gain sum, so the device with the smallest
+    one (ties: the lowest index) has the lowest harvest curve at every
+    bias and alone sets the bias: the least bias that meets its demand
+    within the RF cap meets everyone's.  That device is ``worst_user``;
+    ``fallback_used`` flags a feasible solve where it is not the
+    weakest-serving device.  The SNR grows with the serving gain, so the
+    weakest serving gain holds the min SNR.  A device left needing more
+    RF than the cap raises SolverStallError.
     """
     if method not in ("bisection", "closed_form"):
         raise ValueError(f"unknown bias method {method!r}")
     serving, sums = _gain_summaries(serving_gains, gain_sums)
-    weakest = identify_worst_user(serving)
-    # the gain-sum argmin has the lowest harvest at any bias, so a bias
-    # feasible for it is feasible for everyone
-    for fallback_used, worst in ((False, weakest), (True, int(sums.argmin()))):
-        feasible, light_target = solve_subrf(
-            theta, vlc_harvested_power(drive, vlc_eh, sums[worst], bias_limits.high),
-            vlc_harvested_power(drive, vlc_eh, sums[worst], bias_limits.midpoint), rf_cap)
-        if not feasible:
-            break
-        if method == "bisection":
-            bias = solve_bias_bisection(drive, vlc_eh, sums[worst], light_target,
-                                        bias_limits)
-        else:
-            bias = solve_bias_closed_form(drive, vlc_eh, sums[worst], light_target,
-                                          bias_limits)
-        harvests = np.array([vlc_harvested_power(drive, vlc_eh, s, bias) for s in sums])
-        raw = theta - harvests
-        if (raw > rf_cap).any():
-            continue
-        swing = bias_limits.swing_at(bias)
+    worst = int(sums.argmin())
+    feasible, light_target = solve_subrf(
+        theta, vlc_harvested_power(drive, vlc_eh, sums[worst], bias_limits.high),
+        vlc_harvested_power(drive, vlc_eh, sums[worst], bias_limits.midpoint), rf_cap)
+    if not feasible:
+        n_dev = len(sums)
         return LightwaveSolution(
-            feasible=True, bias=float(bias), ac_swing=float(swing),
-            rf_targets=raw.clip(0.0, rf_cap), light_harvests=harvests,
-            worst_user=worst,
-            min_snr_db=float(vlc_snr_db(drive, serving[weakest], swing, noise_power)),
-            method=method, theta=theta, rf_cap=rf_cap, fallback_used=fallback_used,
-            light_target=light_target)
-    n_dev = len(sums)
+            feasible=False, bias=np.nan, ac_swing=0.0, rf_targets=np.zeros(n_dev),
+            light_harvests=np.zeros(n_dev), worst_user=worst, min_snr_db=-np.inf,
+            method=method, theta=theta, rf_cap=rf_cap)
+    solve_bias = solve_bias_bisection if method == "bisection" else solve_bias_closed_form
+    bias = solve_bias(drive, vlc_eh, sums[worst], light_target, bias_limits)
+    harvests = vlc_harvested_power(drive, vlc_eh, sums, bias)
+    raw = _rf_needs(theta, harvests, rf_cap)
+    swing = bias_limits.swing_at(bias)
     return LightwaveSolution(
-        feasible=False, bias=np.nan, ac_swing=0.0, rf_targets=np.zeros(n_dev),
-        light_harvests=np.zeros(n_dev), worst_user=worst, min_snr_db=-np.inf,
-        method=method, theta=theta, rf_cap=rf_cap)
+        feasible=True, bias=float(bias), ac_swing=float(swing),
+        rf_targets=raw.clip(0.0, rf_cap), light_harvests=harvests, worst_user=worst,
+        min_snr_db=float(vlc_snr_db(drive, serving.min(), swing, noise_power)),
+        method=method, theta=theta, rf_cap=rf_cap,
+        fallback_used=worst != int(serving.argmin()), light_target=light_target)
 
 
 def _gain_summaries(serving_gains, gain_sums):
-    """The two gain summaries as matching 1-d float arrays."""
+    """The two gain summaries as matching 1-d float arrays, the sums nonnegative."""
     serving = np.asarray(serving_gains, dtype=float)
     sums = np.asarray(gain_sums, dtype=float)
     if serving.shape != sums.shape or serving.ndim != 1:
         raise ValueError("serving gains and gain sums must be matching 1-d arrays")
+    if np.any(sums < 0):
+        raise ValueError("gain sums must be nonnegative")
     return serving, sums
+
+
+def _rf_needs(theta, harvests, rf_cap):
+    """``theta - harvests``, the RF each device needs; SolverStallError if one passes the cap.
+
+    The smallest gain sum's split and bias rule that out, so it is a defect.
+    """
+    raw = theta - harvests
+    if np.count_nonzero(raw > rf_cap):
+        raise SolverStallError(
+            f"a device needs {np.max(raw - rf_cap)} W of RF above the cap at the solved bias")
+    return raw
 
 
 def solve_op1_grid(serving_gains, gain_sums, drive, vlc_eh, bias_limits, noise_power,
@@ -222,41 +223,31 @@ def solve_op1_grid(serving_gains, gain_sums, drive, vlc_eh, bias_limits, noise_p
 
     Lane i holds ``thetas[i]`` and ``rf_caps[i]``, which broadcast to one
     1-d shape.  A lane gets the feasibility, bias and min SNR in dB of
-    its scalar call, bit for bit: the same worst-user try and gain-sum
-    fallback, and the same ``solve_bias_bisection`` steps, since those
-    are elementwise.  Lanes whose split fails never enter the bias solve.
+    its scalar call, bit for bit: the same device sets the bias, and the
+    ``solve_subrf`` split and ``solve_bias_bisection`` steps are
+    elementwise.  Lanes whose split fails never enter the bias solve.
 
     Returns:
         (feasible, bias, min_snr_db) arrays; an infeasible lane has bias
         nan and min SNR -inf.
     """
     serving, sums = _gain_summaries(serving_gains, gain_sums)
-    # the sign check each scalar harvest makes, once for every lane and step
-    if np.any(sums < 0):
-        raise ValueError("gain sums must be nonnegative")
     thetas, caps = np.broadcast_arrays(np.asarray(thetas, dtype=float),
                                        np.asarray(rf_caps, dtype=float))
     if thetas.ndim != 1:
         raise ValueError("demands and caps must broadcast to one 1-d grid")
-    feasible = np.zeros(thetas.shape, dtype=bool)
+    worst = int(sums.argmin())
+    feasible, target = solve_subrf(
+        thetas, vlc_harvested_power(drive, vlc_eh, sums[worst], bias_limits.high),
+        vlc_harvested_power(drive, vlc_eh, sums[worst], bias_limits.midpoint), caps)
+    solved = solve_bias_bisection(drive, vlc_eh, sums[worst], target[feasible], bias_limits)
+    _rf_needs(thetas[feasible], vlc_harvested_power(drive, vlc_eh, sums[:, None], solved),
+              caps[feasible])
     bias = np.full(thetas.shape, np.nan)
-    pending = np.arange(thetas.size)  # lanes still to try
-    weakest = identify_worst_user(serving)
-    for worst in (weakest, int(np.argmin(sums))):
-        split, target = solve_subrf(
-            thetas[pending], vlc_harvested_power(drive, vlc_eh, sums[worst], bias_limits.high),
-            vlc_harvested_power(drive, vlc_eh, sums[worst], bias_limits.midpoint),
-            caps[pending])
-        pending, target = pending[split], target[split]  # a rejected lane is not retried
-        tried = solve_bias_bisection(drive, vlc_eh, sums[worst], target, bias_limits)
-        harvests = vlc_harvested_power(drive, vlc_eh, sums[:, None], tried)
-        broke = np.any(thetas[pending] - harvests > caps[pending], axis=0)  # retried
-        feasible[pending[~broke]] = True
-        bias[pending[~broke]] = tried[~broke]
-        pending = pending[broke]
+    bias[feasible] = solved
     min_snr_db = np.full(thetas.shape, -np.inf)
-    swing = bias_limits.high - bias[feasible]  # BiasLimits.swing_at, lane by lane
-    min_snr_db[feasible] = vlc_snr_db(drive, serving[weakest], swing, noise_power)
+    swing = bias_limits.high - solved  # BiasLimits.swing_at, lane by lane
+    min_snr_db[feasible] = vlc_snr_db(drive, serving.min(), swing, noise_power)
     return feasible, bias, min_snr_db
 
 

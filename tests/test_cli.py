@@ -9,7 +9,7 @@ from importlib import resources
 import numpy as np
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import attocell.beamforming as beamforming
 from attocell.beamforming import solve_aggregate_sdp
@@ -107,6 +107,24 @@ def test_solve_infeasible_exit_code(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"infeasible: demand 0.05 W not coverable under RF cap {cap} W\n")
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("mode", ["direct", "centralized", "semi"])
+def test_solve_refuses_a_non_finite_solution(tmp_path, capsys, mode):
+    # a detector area of 1e300 gives infinite light harvests and min SNR;
+    # strict JSON has no Infinity, so solve exits 4 naming the keys and
+    # writes nothing
+    cfg = _bundled_cfg()
+    cfg["detector"]["area"] = 1.0e+300
+    path = tmp_path / "huge.yaml"
+    path.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "out"
+    assert main(["solve", "--theta", "4mW", "--mode", mode, "--config", str(path),
+                 "--out-dir", str(out)]) == EXIT_SOLVER
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure: solution.json would hold non-finite ")
+    assert "light_harvests_w" in err and "min_snr_db" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("method", ["bisection", "closed_form"])
@@ -522,6 +540,12 @@ _MUTANTS = (math.nan, math.inf, -math.inf, 0, -1, 1e300, "x", [1], True, _DELETE
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.sampled_from(tuple(_leaf_paths(_bundled_cfg()))), st.sampled_from(_MUTANTS))
+# leaves whose 1e300 gives an infinite SNR and harvests, which solve must refuse
+@example(("optical", "leds_per_color"), 1e300)
+@example(("optical", "led_voltage"), 1e300)
+@example(("optical", "bias_high"), 1e300)
+@example(("detector", "area"), 1e300)
+@example(("detector", "responsivity"), 1e300)
 def test_every_leaf_mutation_maps_to_an_exit_code(tmp_path_factory, path, value):
     # any exception escaping main would be a traceback and exit 1 on the command line
     cfg = _bundled_cfg()
@@ -531,6 +555,8 @@ def test_every_leaf_mutation_maps_to_an_exit_code(tmp_path_factory, path, value)
     bad = work / "mutant.yaml"
     bad.write_text(yaml.safe_dump(cfg))
     config = ["--config", str(bad)]
+    written = work / "solution.json"
+    written.unlink(missing_ok=True)  # left by an earlier example
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         validated = main(["scenario", "validate", *config])
         solved = main(["solve", "--theta", "4mW", "--out-dir", str(work), *config])
@@ -538,3 +564,7 @@ def test_every_leaf_mutation_maps_to_an_exit_code(tmp_path_factory, path, value)
     assert solved in (EXIT_OK, EXIT_CONFIG, EXIT_INFEASIBLE, EXIT_SOLVER)
     if solved == EXIT_CONFIG:
         assert validated == EXIT_CONFIG, (path, value)
+    if solved == EXIT_OK:
+        # strict JSON: Infinity, -Infinity and NaN are refused
+        json.loads(written.read_text(),
+                   parse_constant=lambda name: pytest.fail(f"{name} in solution.json"))

@@ -6,9 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from attocell.channels import build_vlc_matrix
 from attocell.energy import vlc_harvested_power, vlc_snr_db
-from attocell.errors import TargetUnreachableError
-from attocell.lightwave import (identify_worst_user, solve_bias_bisection,
-                                solve_bias_closed_form, solve_op1,
+from attocell import lightwave
+from attocell.cli import EXIT_SOLVER, main
+from attocell.errors import SolverStallError, TargetUnreachableError
+from attocell.lightwave import (solve_bias_bisection, solve_bias_closed_form, solve_op1,
                                 solve_op1_from_gains, solve_op1_grid, solve_subrf)
 
 # bundled-deployment gain summaries, frozen from a high-precision recompute
@@ -18,11 +19,6 @@ SUMS = np.array([0.0110196367788, 0.00728190347223, 0.0170282789216,
                  0.00637272378115, 0.00853010959503])
 WORST_MAX_EH = 0.00246638259587  # device 3 at the top of the bias range
 WORST_MIN_EH = 0.00139003382401  # device 3 at the midpoint
-
-
-def test_worst_user_is_weakest_serving_gain():
-    assert identify_worst_user(SERVING) == 3
-    assert identify_worst_user([2.0, 1.0, 1.0]) == 1  # tie -> lowest index
 
 
 def test_subrf_split_cases():
@@ -381,3 +377,54 @@ def test_min_snr_db_is_min_over_devices(scenario, vlc_matrix):
         for ok, b, got in zip(feasible, bias, min_snr_db):
             assert got == (_min_snr_db_over_devices(scenario, serving, b) if ok else -np.inf)
     assert seen == {(True, False), (True, True), (False, False)}
+
+
+def test_smallest_gain_sum_keeps_every_accepted_weakest_serving_bias(scenario, vlc_matrix):
+    # the weakest-serving device's own exact split and bias, wherever they
+    # leave every device within the cap, is the bias the allocator returns
+    layouts = ([(vlc_matrix.serving_gains(), vlc_matrix.gain_sums())]
+               + [_jittered_gains(scenario, k) for k in range(40)])
+    drive, eh, limits = scenario.drive, scenario.vlc_eh, scenario.bias
+    args = (drive, eh, limits, scenario.noise_power)
+    compared = 0
+    for serving, sums in layouts:
+        weakest = int(np.argmin(serving))
+        top, mid = (vlc_harvested_power(drive, eh, sums[weakest], b)
+                    for b in (limits.high, limits.midpoint))
+        for cap in (0.0, 2e-3, 6e-3):
+            for theta in np.linspace(0.0, 8e-3, 33):
+                sol = solve_op1_from_gains(serving, sums, *args, float(theta), cap)
+                assert sol.worst_user == int(np.argmin(sums))
+                ok, target = solve_subrf(float(theta), top, mid, cap)
+                if not ok:
+                    continue
+                bias = solve_bias_bisection(drive, eh, sums[weakest], target, limits)
+                harvests = [vlc_harvested_power(drive, eh, s, bias) for s in sums]
+                if all(theta - h <= cap for h in harvests):
+                    assert sol.feasible and sol.bias == bias
+                    compared += weakest != sol.worst_user
+    assert compared > 0  # some layouts' weakest-serving device does not set the bias
+
+
+def test_rf_need_above_cap_is_a_solver_failure(scenario, monkeypatch, tmp_path, capsys):
+    # a harvest that leaves the last device short breaks the invariant the
+    # smallest gain sum guarantees; no entry point may retry or clip it away
+    def short_last_device(drive, eh, gain_sum, bias):
+        harvest = vlc_harvested_power(drive, eh, gain_sum, bias)
+        if np.ndim(gain_sum):  # the every-device harvest
+            harvest = np.array(harvest)
+            harvest[-1] = 0.0
+        return harvest
+
+    monkeypatch.setattr(lightwave, "vlc_harvested_power", short_last_device)
+    args = (scenario.drive, scenario.vlc_eh, scenario.bias, scenario.noise_power)
+    for method in ("bisection", "closed_form"):
+        with pytest.raises(SolverStallError, match="above the cap"):
+            solve_op1_from_gains(SERVING, SUMS, *args, 2e-3, 1e-3, method=method)
+    with pytest.raises(SolverStallError, match="above the cap"):
+        solve_op1_grid(SERVING, SUMS, *args, [1e-3, 2e-3], 1e-3)
+    out = tmp_path / "out"
+    assert main(["solve", "--theta", "2mW", "--theta-rf", "1mW",
+                 "--out-dir", str(out)]) == EXIT_SOLVER
+    assert "above the cap" in capsys.readouterr().err
+    assert not out.exists()

@@ -85,7 +85,8 @@ def test_byte_manifest_smoke(tmp_path):
         "jittered-feasibility/feasibility_vs_theta.csv",
         "jittered-solve-semi/solution.json", "jittered-solve-semi/trace_semi.jsonl",
         "jittered-solve-direct-closed_form/solution.json"}
-    # the jittered layout takes the light side's worst-user fallback
+    # on the jittered layout the device that sets the bias is not the
+    # weakest-serving one
     for sub in ("jittered-solve-semi", "jittered-solve-direct-closed_form"):
         sol = json.loads((tmp_path / "a" / sub / "solution.json").read_text())
         assert sol["fallback_used"] and sol["worst_user"] == 1, sub
